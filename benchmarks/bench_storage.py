@@ -58,7 +58,8 @@ if __name__ == "__main__":
         # checks columnar holds its headline properties — identical
         # results everywhere and a scan microbench at least as fast as
         # row storage.  The scale keeps the edge table over the 2048-row
-        # morsel so sealed blocks (the thing being measured) exist.
+        # morsel, so a compact() would seal at least one block; loaded
+        # tables stay an unencoded row overlay until then.
         report = run_storage_bench(scale=0.3, repeats=3)
         print(json.dumps(report, indent=2))
         for entry in report["results"]:

@@ -182,7 +182,7 @@ class Profiler:
             slot["antijoin_pruned"] += stat.antijoin_pruned
 
     def record_plan(self, kind: str, title: str, root: Any,
-                    stats: dict[Any, Any], storage: str = "rows") -> None:
+                    stats: dict[Any, Any], storage: str = "columnar") -> None:
         """Fold one instrumented plan tree into the operator profile.
 
         *stats* is the node → ``OperatorStats`` mapping ``instrument()``

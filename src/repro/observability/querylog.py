@@ -1,7 +1,8 @@
 """The engine's query log: a bounded ring buffer of executed statements.
 
 Every statement the engine runs is appended (SQL text truncated, phase
-wall-times, rows returned, recursion iterations, storage backend); the
+wall-times, rows returned, recursion iterations, and the engine's
+executor, optimizer, storage and parallel configuration); the
 buffer keeps the most recent ``size`` entries.  Entries whose total wall
 time crosses the configured slow-query threshold are flagged, so a
 traffic-serving deployment can scrape regressions without keeping full
@@ -43,8 +44,11 @@ class QueryLogEntry:
     rows: int = 0
     iterations: int = 0
     slow: bool = False
-    #: Physical table storage backend the engine ran with.
-    storage: str = "rows"
+    #: Engine configuration the statement ran with: physical operator
+    #: family, planner policy and table storage backend.
+    executor: str = "batch"
+    optimizer: str = "off"
+    storage: str = "columnar"
     #: Worker count the statement actually executed on: N when the pool
     #: ran it, 0 for serial (including a parallel engine whose cost rule
     #: declined to fork) — "why didn't this go parallel?" reads here.
@@ -63,6 +67,8 @@ class QueryLogEntry:
             "rows": self.rows,
             "iterations": self.iterations,
             "slow": self.slow,
+            "executor": self.executor,
+            "optimizer": self.optimizer,
             "storage": self.storage,
             "parallel": self.parallel,
             "error": self.error,
@@ -91,7 +97,8 @@ class QueryLog:
 
     def record(self, sql: str, kind: str, total_ms: float,
                phases: dict[str, float] | None = None, rows: int = 0,
-               iterations: int = 0, storage: str = "rows",
+               iterations: int = 0, executor: str = "batch",
+               optimizer: str = "off", storage: str = "columnar",
                parallel: int = 0,
                error: str | None = None) -> QueryLogEntry:
         text = sql if len(sql) <= MAX_SQL_LENGTH \
@@ -99,7 +106,8 @@ class QueryLog:
         entry = QueryLogEntry(
             sql=text, kind=kind, total_ms=total_ms,
             phases=dict(phases or {}), rows=rows, iterations=iterations,
-            slow=total_ms >= self.slow_ms, storage=storage,
+            slow=total_ms >= self.slow_ms, executor=executor,
+            optimizer=optimizer, storage=storage,
             parallel=parallel, error=error,
             timestamp=time.time())
         self._entries.append(entry)

@@ -12,7 +12,10 @@ bit).  ``ColumnStore`` keeps data column-major:
 * **Sealed blocks** — immutable :class:`ColumnBlock` morsels of
   :data:`MORSEL` rows, one encoded vector per column (see
   :mod:`.encodings`), with per-block zone maps on numeric columns.
-  Bulk loads (``extend``) seal and compress eagerly.
+  ``extend`` seals and compresses eagerly.  Table loads do not go
+  through it: a load into an empty table arrives via ``assign`` (the
+  row overlay below) and is encoded only on ``compact()``, since query
+  paths read the column, row and index caches, never the blocks.
 * **Tail columns** — plain Python lists holding the ragged tail; sealed
   into a block when :data:`MORSEL` rows accumulate.
 * **Row overlay** — ``assign`` (the rebuild half of union-by-update)

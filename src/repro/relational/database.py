@@ -23,14 +23,17 @@ class Database:
     """An in-memory catalog of base and temporary tables.
 
     ``storage`` is the physical backend every table (base and temporary)
-    is created with — ``"rows"`` or ``"columnar"``.  The default comes
-    from the ``REPRO_STORAGE`` environment variable so a whole test run
-    can be flipped to columnar without touching call sites.
+    is created with — ``"columnar"`` or ``"rows"``.  The default comes
+    from the ``REPRO_STORAGE`` environment variable, then ``"columnar"``,
+    so a whole test run can be flipped back to rows without touching call
+    sites.  Loads into an empty table (``register``, ``load_*_table``)
+    keep the coerced rows as the columnar store's row overlay; blocks are
+    encoded only on ``compact()``.
     """
 
     def __init__(self, name: str = "repro", storage: str | None = None):
         self.name = name
-        self.storage = storage or os.environ.get("REPRO_STORAGE", "rows")
+        self.storage = storage or os.environ.get("REPRO_STORAGE", "columnar")
         self._tables: dict[str, Table] = {}
         self._temp_tables: dict[str, Table] = {}
 

@@ -83,11 +83,13 @@ class Engine:
         ``"with+"`` (default) accepts the paper's enhanced recursion;
         ``"with"`` enforces the dialect's SQL'99 Table-1 restrictions.
     executor:
-        ``"tuple"`` (default) runs the iterator-model operators;
-        ``"batch"`` swaps the hash-family operators for the columnar
-        batch kernels in :mod:`repro.relational.physical.batch`.  Plans
-        and EXPLAIN output are identical either way; only the execution
-        style (and speed) differs.
+        ``"batch"`` (default) runs the hash-family operators as the
+        columnar batch kernels in :mod:`repro.relational.physical.batch`;
+        ``"tuple"`` keeps the iterator-model operators.  Results are
+        identical either way.  Plans differ only where the cost
+        optimizer picks a cached build side, which it does for every
+        stable build under ``"tuple"`` but only inside loops under
+        ``"batch"``.
     optimizer:
         ``"off"`` (default) keeps the dialect's modelled planner policy;
         ``"cost"`` replaces it with the statistics-driven
@@ -112,14 +114,14 @@ class Engine:
         processes record their own spans/counters and ship them back for
         merging, so tracing no longer forces serial execution.
     storage:
-        Physical table storage: ``"rows"`` (list of row tuples) or
-        ``"columnar"`` (typed, compressed column vectors in morsel
-        blocks — see ``docs/storage.md``).  ``None`` (default) keeps the
-        attached database's backend (itself defaulting to the
-        ``REPRO_STORAGE`` environment variable, then ``"rows"``).
-        Results are identical across backends; only the physical layout
-        — and the batch executor's ability to run block kernels over it
-        — differs.
+        Physical table storage: ``"columnar"`` (column vectors in morsel
+        blocks — see ``docs/storage.md``) or ``"rows"`` (list of row
+        tuples).  ``None`` (default) keeps the attached database's
+        backend (itself defaulting to the ``REPRO_STORAGE`` environment
+        variable, then ``"columnar"``).  Table loads keep their rows
+        unencoded until ``compact()``.  Results are identical across
+        backends; only the physical layout — and the batch executor's
+        ability to run block kernels over it — differs.
     parallel:
         Worker count for partitioned parallel execution (see
         ``docs/parallel.md``).  ``0``/``1`` stays serial; ``N >= 2``
@@ -133,7 +135,7 @@ class Engine:
 
     def __init__(self, dialect: str | Dialect = "oracle",
                  database: Database | None = None, mode: str = "with+",
-                 executor: str = "tuple", optimizer: str = "off",
+                 executor: str = "batch", optimizer: str = "off",
                  replan_factor: float = 8.0,
                  telemetry: str | bool | Telemetry | None = None,
                  storage: str | None = None,
@@ -270,7 +272,7 @@ class Engine:
         total_started = time.perf_counter()
         try:
             with tracer.span("query", sql=sql_text,
-                             storage=self.storage) as query_span:
+                             **self._config_labels()) as query_span:
                 started = time.perf_counter()
                 with tracer.span("parse"):
                     statement = (parse_statement(sql) if isinstance(sql, str)
@@ -397,6 +399,12 @@ class Engine:
         self._last_parallel = getattr(plan, "engaged", 0)
         return WithExecutionResult(relation=relation)
 
+    def _config_labels(self) -> dict[str, str]:
+        """The engine knobs every root span and query-log entry carries
+        (``parallel`` is added per statement: the worker count used)."""
+        return {"executor": self.executor, "optimizer": self.optimizer,
+                "storage": self.storage}
+
     def _publish_iterations(self, result: WithExecutionResult) -> None:
         """Refresh the virtual ``__iterations__`` relation with the just-run
         loop's per-iteration trajectory (queryable via plain SELECT)."""
@@ -415,8 +423,8 @@ class Engine:
         entry = telemetry.query_log.record(sql_text, kind, total_ms, phases,
                                            rows=rows,
                                            iterations=result.iterations,
-                                           storage=self.storage,
-                                           parallel=self._last_parallel)
+                                           parallel=self._last_parallel,
+                                           **self._config_labels())
         if query_span is not None:
             query_span.attrs["parallel"] = self._last_parallel
         metrics = telemetry.metrics
@@ -471,9 +479,9 @@ class Engine:
         snapshot a diagnostic bundle before the error propagates."""
         telemetry = self.telemetry
         telemetry.query_log.record(sql_text, "error", total_ms, phases,
-                                   storage=self.storage,
                                    error=type(error).__name__,
-                                   parallel=self._last_parallel)
+                                   parallel=self._last_parallel,
+                                   **self._config_labels())
         telemetry.metrics.counter(
             "repro_query_errors_total", "Statements that raised.",
             error=type(error).__name__).inc()

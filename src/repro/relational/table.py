@@ -129,7 +129,13 @@ class Table:
         if not coerced_rows:
             return 0
         self._key_set |= batch_keys
-        self.rows.extend(coerced_rows)
+        if len(self.rows):
+            self.rows.extend(coerced_rows)
+        else:
+            # A load into an empty table hands over the fresh list: the
+            # columnar store keeps it as its row overlay and encodes only
+            # on ``compact()`` (``extend`` would seal every morsel now).
+            self.rows.assign(coerced_rows)
         for index in self.indexes.values():
             index.bulk_load(coerced_rows)
             self.incremental_index_ops += len(coerced_rows)

@@ -216,6 +216,30 @@ class TestQueryLogAndMetrics:
         assert roots
         assert all(span.attrs["storage"] == storage for span in roots)
 
+    @pytest.mark.parametrize("executor,optimizer",
+                             [("batch", "off"), ("tuple", "cost")])
+    def test_engine_configuration_labels_entries_and_span_roots(
+            self, executor, optimizer):
+        engine = make_engine(telemetry="on", executor=executor,
+                             optimizer=optimizer)
+        engine.execute("select count(*) as n from E")
+        engine.execute_detailed(RECURSIVE_SQL)
+        with pytest.raises(Exception):
+            engine.execute("select no_such_column from E")
+        labels = {"executor": executor, "optimizer": optimizer,
+                  "storage": engine.storage, "parallel": 0}
+        entries = engine.query_log.entries()
+        assert [e.kind for e in entries] == ["select", "recursive", "error"]
+        for entry in entries:
+            data = entry.to_dict()
+            assert {k: data[k] for k in labels} == labels
+        roots = engine.tracer.find("query")
+        assert len(roots) == 3
+        for span in roots[:2]:
+            assert {k: span.attrs[k] for k in labels} == labels
+        assert all(roots[2].attrs[k] == labels[k]
+                   for k in ("executor", "optimizer", "storage"))
+
     def test_failed_statement_logged_with_error_kind(self):
         engine = make_engine()
         with pytest.raises(Exception):

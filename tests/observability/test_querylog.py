@@ -60,9 +60,12 @@ class TestQueryLog:
         data = entry.to_dict()
         assert data["storage"] == "columnar"
         assert data["error"] == "SchemaError"
-        # Defaults: rows backend, no error.
+        # Defaults: the engine's defaults (batch over columnar, optimizer
+        # off), no error.
         plain = log.record("select 1", "select", 1.0).to_dict()
-        assert plain["storage"] == "rows" and plain["error"] is None
+        assert plain["storage"] == "columnar" and plain["error"] is None
+        assert plain["executor"] == "batch"
+        assert plain["optimizer"] == "off"
 
 
 class TestJsonlSink:

@@ -9,7 +9,11 @@ from repro.core.algorithms.registry import ALGORITHMS
 from repro.datasets import preferential_attachment, random_dag
 from repro.relational import Engine
 from repro.relational.optimizer import CardinalityEstimator, choose_join_order
+from repro.relational.physical import explain_plan
+from repro.relational.physical.batch import BatchHashJoin
 from repro.relational.planner import CostBasedPolicy
+from repro.relational.sql.compiler import QueryRunner
+from repro.relational.sql.parser import parse_statement
 
 
 @pytest.fixture
@@ -151,9 +155,26 @@ class TestPushdownAndReordering:
 class TestOperatorSelection:
     def test_build_side_on_smaller_input(self, loaded):
         # V (40 rows) much smaller than E (200): build from V's side.
-        plan = loaded().explain(JOIN_SQL)
+        # The tuple executor caches every stable build side.
+        plan = loaded(executor="tuple").explain(JOIN_SQL)
         join_line = next(l for l in plan.splitlines() if "Hash Join" in l)
         assert "cached build" in join_line
+
+    def test_build_side_on_smaller_input_batch(self, loaded):
+        # The batch executor builds from V too, on a plain Hash Join:
+        # outside a fixpoint loop there is no rescan to amortise a cache.
+        engine = loaded(executor="batch")
+        join_line = next(l for l in engine.explain(JOIN_SQL).splitlines()
+                         if "Hash Join" in l)
+        assert "cached build" not in join_line
+        node = QueryRunner(engine.database, engine.policy).plan(
+            parse_statement(JOIN_SQL))
+        while node.label != "Hash Join":
+            (node,) = [c for c in node.children()
+                       if c.label != "Seq Scan"]
+        assert type(node) is BatchHashJoin
+        assert node.build_side == "right"
+        assert "V" in explain_plan(node.right)
 
     def test_merge_join_when_both_sides_presorted(self):
         engine = Engine("oracle", optimizer="cost")
