@@ -2,13 +2,13 @@
 
 CI runs the suite benchmarks at smoke scale and compares each query's
 **speedup ratio** against the corresponding entry in the committed
-``BENCH_executor.json`` / ``BENCH_optimizer.json`` /
-``BENCH_storage.json`` / ``BENCH_parallel.json`` /
-``BENCH_streaming.json``.  Ratios, not absolute milliseconds: the smoke
-runs use a much smaller graph (and a different machine class) than the
-committed reports, so wall times are incomparable, but "the batch
-executor beats the tuple executor by ~2x on PageRank" is a property of
-the code, and losing it is a regression worth failing CI over.
+``BENCH_optimizer.json`` / ``BENCH_storage.json`` /
+``BENCH_parallel.json`` / ``BENCH_streaming.json``.  Ratios, not
+absolute milliseconds: the smoke runs use a much smaller graph (and a
+different machine class) than the committed reports, so wall times are
+incomparable, but "columnar storage beats row storage by ~1.3x on WCC"
+is a property of the code, and losing it is a regression worth failing
+CI over.
 
 The tolerance band is deliberately generous (default: a measured
 speedup may fall to ``baseline * 0.5 - 0.15`` before the gate fails)
@@ -39,13 +39,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: baseline file -> callable(scale) producing a fresh report of the
 #: same shape (every results[] entry carries `query`, `speedup`,
 #: `identical`).
-SUITES = ("executor", "optimizer", "storage", "parallel", "streaming")
+SUITES = ("optimizer", "storage", "parallel", "streaming")
 
 
 def _run_suite(name: str, scale: float) -> dict[str, Any]:
-    if name == "executor":
-        from repro.bench.executor_bench import run_executor_bench
-        return run_executor_bench(scale=scale, repeats=1)
     if name == "optimizer":
         from repro.bench.optimizer_bench import run_optimizer_bench
         return run_optimizer_bench(scale=scale, repeats=1)

@@ -1,8 +1,8 @@
 """Rows vs columnar storage comparison (the PR's acceptance benchmark).
 
-Runs PageRank, WCC and SSSP through the same SQL front-end under the
-PR-1 rows baseline (tuple executor), rows + batch, and columnar + batch,
-plus a scan/filter/aggregate microbench with resident-bytes accounting.
+Runs PageRank, WCC and SSSP through the same SQL front-end over row and
+columnar storage, plus a scan/filter/aggregate microbench with
+resident-bytes accounting.
 Refreshes ``BENCH_storage.json`` at the repo root so the committed
 report always matches the measured code.
 """
@@ -14,9 +14,8 @@ from repro.bench.storage_bench import run_storage_bench, write_report
 
 
 def _emit_report(report, emit) -> None:
-    rows = [[r["query"], r["baseline_ms"], r["rows_batch_ms"],
-             r["columnar_ms"], f"{r['speedup']:.2f}x",
-             f"{r['speedup_storage_only']:.2f}x", r["identical"]]
+    rows = [[r["query"], r["rows_ms"], r["columnar_ms"],
+             f"{r['speedup']:.2f}x", r["identical"]]
             for r in report["results"]]
     micro = report["microbench"]
     micro_rows = [[m["query"], m["rows_ms"], m["columnar_ms"],
@@ -25,8 +24,8 @@ def _emit_report(report, emit) -> None:
     resident = micro["resident_bytes"]
     emit("storage", "\n\n".join([
         format_table(
-            ("query", "baseline_ms", "rows_batch_ms", "columnar_ms",
-             "speedup", "storage_only", "identical"), rows,
+            ("query", "rows_ms", "columnar_ms", "speedup", "identical"),
+            rows,
             title=f"columnar vs rows storage ({report['dialect']},"
                   f" n={report['graph']['nodes']})"),
         format_table(

@@ -71,7 +71,6 @@ def _workloads(graph: Graph) -> list[tuple[str, Callable]]:
 
 def run_optimizer_bench(scale: float | None = None,
                         dialect: str = "oracle",
-                        executor: str = "tuple",
                         repeats: int = 5) -> dict[str, Any]:
     """Time each workload with the optimizer off and on; returns the report.
 
@@ -90,8 +89,7 @@ def run_optimizer_bench(scale: float | None = None,
         phases: dict[str, dict] = {}
         for _ in range(max(repeats, 1)):
             for mode in OPTIMIZER_MODES:
-                engine = fresh_engine(dialect, executor=executor,
-                                      optimizer=mode)
+                engine = fresh_engine(dialect, optimizer=mode)
                 timed = make(engine)
                 gc.collect()
                 gc.disable()
@@ -115,7 +113,6 @@ def run_optimizer_bench(scale: float | None = None,
     return {
         "bench": "optimizer",
         "dialect": dialect,
-        "executor": executor,
         "scale": scale,
         "graph": {"nodes": graph.num_nodes, "edges": graph.num_edges},
         "results": results,

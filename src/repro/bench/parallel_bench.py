@@ -83,7 +83,6 @@ def run_graph_workloads(graph: Graph, dialect: str,
         for _ in range(max(repeats, 1)):
             for label, workers in WORKER_CONFIGS:
                 engine = fresh_engine(dialect, storage="columnar",
-                                      executor="batch",
                                       parallel=workers or None)
                 if workers == 0:
                     engine.parallel = 0  # ignore REPRO_PARALLEL env
@@ -132,7 +131,7 @@ def run_parallel_bench(scale: float | None = None,
         "workers": 4,
         "graph": {"nodes": graph.num_nodes, "edges": graph.num_edges},
         "configs": [{"label": label, "parallel": workers,
-                     "storage": "columnar", "executor": "batch"}
+                     "storage": "columnar"}
                     for label, workers in WORKER_CONFIGS],
         "results": results,
     }

@@ -3,14 +3,9 @@
 Two sections, one report (``BENCH_storage.json``):
 
 * **Graph workloads** — PageRank, WCC and SSSP through the SQL front-end
-  under three configurations: the PR-1 baseline (``storage="rows"`` with
-  the tuple executor), rows + batch executor (isolating the storage
-  effect), and columnar + batch (the full stack).  ``speedup`` is
-  columnar+batch over the PR-1 baseline — the acceptance ratio —
-  and ``speedup_storage_only`` holds the executor fixed at batch.
+  on each storage backend; ``speedup`` is columnar over rows.
 * **Microbench** — scan / filter / aggregate statements over a generated
-  edge table, rows vs. columnar under the batch executor, plus resident
-  bytes of each backend (``size_bytes`` is a ``sys.getsizeof`` walk over
+  edge table, rows vs. columnar, plus resident bytes of each backend (``size_bytes`` is a ``sys.getsizeof`` walk over
   the stored representation).
 
 Run directly (``python -m repro.bench.storage_bench``) or through the
@@ -33,18 +28,14 @@ from repro.graphsystems.graph import Graph
 from .harness import BENCH_SCALE, fresh_engine, phase_breakdown, time_call
 
 #: Nodes at scale 1.0; average out-degree of the generated graph.  The
-#: storage bench uses a larger base graph than the executor bench: block
+#: storage bench uses a larger base graph than the optimizer bench: block
 #: effects (sealing, compressed scans, columnar delta merges) only show
 #: once tables span multiple 2048-row morsels.
 BASE_NODES = 8000
 DEGREE = 4.0
 
-#: (label, storage, executor) — the three measured configurations.
-CONFIGS = (
-    ("baseline", "rows", "tuple"),
-    ("rows_batch", "rows", "batch"),
-    ("columnar", "columnar", "batch"),
-)
+#: The measured storage backends; the first is the speedup's baseline.
+STORAGES = ("rows", "columnar")
 
 _ROOT = pathlib.Path(__file__).resolve().parents[3]
 DEFAULT_REPORT = (_ROOT if (_ROOT / "pyproject.toml").exists()
@@ -94,34 +85,30 @@ def run_graph_workloads(graph: Graph, dialect: str,
                         repeats: int) -> list[dict[str, Any]]:
     results = []
     for name, workload in _workloads(graph):
-        timings = {label: math.inf for label, _, _ in CONFIGS}
+        timings = {storage: math.inf for storage in STORAGES}
         outcomes: dict[str, Any] = {}
         phases: dict[str, dict] = {}
-        # Interleave configurations across repeats so machine-load drift
-        # hits every side alike; best-of-N wall time per configuration.
+        # Interleave backends across repeats so machine-load drift hits
+        # every side alike; best-of-N wall time per backend.
         for _ in range(max(repeats, 1)):
-            for label, storage, executor in CONFIGS:
-                engine = fresh_engine(dialect, storage=storage,
-                                      executor=executor)
+            for storage in STORAGES:
+                engine = fresh_engine(dialect, storage=storage)
                 result, seconds = _timed(lambda: workload(engine))
-                if seconds < timings[label]:
-                    timings[label] = seconds
-                    phases[label] = phase_breakdown(engine)
-                outcomes[label] = result
-        base = outcomes["baseline"]
+                if seconds < timings[storage]:
+                    timings[storage] = seconds
+                    phases[storage] = phase_breakdown(engine)
+                outcomes[storage] = result
+        base = outcomes["rows"]
         identical = all(
-            _values_identical(base.values, outcomes[label].values)
-            and base.iterations == outcomes[label].iterations
-            for label, _, _ in CONFIGS[1:])
-        ms = {label: round(t * 1000, 3) for label, t in timings.items()}
+            _values_identical(base.values, outcomes[storage].values)
+            and base.iterations == outcomes[storage].iterations
+            for storage in STORAGES[1:])
+        ms = {storage: round(t * 1000, 3) for storage, t in timings.items()}
         results.append({
             "query": name,
-            "baseline_ms": ms["baseline"],
-            "rows_batch_ms": ms["rows_batch"],
+            "rows_ms": ms["rows"],
             "columnar_ms": ms["columnar"],
-            "speedup": round(ms["baseline"] / ms["columnar"], 3),
-            "speedup_storage_only":
-                round(ms["rows_batch"] / ms["columnar"], 3),
+            "speedup": round(ms["rows"] / ms["columnar"], 3),
             "identical": identical,
             "iterations": base.iterations,
             "phases": phases,
@@ -132,7 +119,7 @@ def run_graph_workloads(graph: Graph, dialect: str,
 def _micro_engine(storage: str, graph: Graph, dialect: str):
     from repro.core.algorithms import common
 
-    engine = fresh_engine(dialect, storage=storage, executor="batch")
+    engine = fresh_engine(dialect, storage=storage)
     common.load_graph(engine, graph)
     return engine
 
@@ -140,7 +127,7 @@ def _micro_engine(storage: str, graph: Graph, dialect: str):
 def run_microbench(graph: Graph, dialect: str,
                    repeats: int) -> dict[str, Any]:
     engines = {storage: _micro_engine(storage, graph, dialect)
-               for storage in ("rows", "columnar")}
+               for storage in STORAGES}
     entries = []
     for name, sql in MICRO_QUERIES:
         timings = {"rows": math.inf, "columnar": math.inf}
@@ -194,9 +181,7 @@ def run_storage_bench(scale: float | None = None, dialect: str = "oracle",
         "dialect": dialect,
         "scale": scale,
         "graph": {"nodes": graph.num_nodes, "edges": graph.num_edges},
-        "configs": [{"label": label, "storage": storage,
-                     "executor": executor}
-                    for label, storage, executor in CONFIGS],
+        "storages": list(STORAGES),
         "results": run_graph_workloads(graph, dialect, repeats),
         "microbench": run_microbench(graph, dialect, repeats),
     }

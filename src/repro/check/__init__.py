@@ -1,7 +1,7 @@
 """Differential correctness harness (``repro fuzz``).
 
 The engine grew several semantically-equivalent-by-construction execution
-paths — tuple vs batch executor, cost-based vs modelled planner policies,
+paths — row vs columnar storage, cost-based vs modelled planner policies,
 four union-by-update strategies, cached vs fresh recursive branch plans,
 three dialect profiles.  The paper's claim is that all of them compute the
 *same* fixpoint; this package turns that claim into a machine-checked

@@ -51,7 +51,6 @@ class EngineConfig:
     """One cell of the differential matrix."""
 
     dialect: str = "oracle"
-    executor: str = "tuple"
     optimizer: str = "off"
     strategy: str = "full_outer_join"
     telemetry: str = "off"
@@ -59,7 +58,7 @@ class EngineConfig:
     parallel: int = 0
 
     def label(self) -> str:
-        text = (f"{self.dialect}/{self.executor}/opt={self.optimizer}"
+        text = (f"{self.dialect}/opt={self.optimizer}"
                 f"/{self.strategy}/telemetry={self.telemetry}"
                 f"/{self.storage}")
         if self.parallel:
@@ -67,38 +66,34 @@ class EngineConfig:
         return text
 
     def build_engine(self) -> Engine:
-        engine = Engine(dialect=self.dialect, executor=self.executor,
-                        optimizer=self.optimizer, telemetry=self.telemetry,
+        engine = Engine(dialect=self.dialect, optimizer=self.optimizer,
+                        telemetry=self.telemetry,
                         storage=self.storage, parallel=self.parallel)
         engine.union_by_update_strategy = self.strategy
         return engine
 
 
 def default_matrix() -> tuple[EngineConfig, ...]:
-    """The full 96-cell matrix: 4 strategy/dialect pairs x 2 executors
-    x 2 optimizer settings x 2 telemetry settings x 2 storage backends,
-    plus 32 partitioned-execution cells (parallel=2, telemetry off *and*
-    on — workers ship their telemetry shards back, so instrumented runs
+    """The full 48-cell matrix: 4 strategy/dialect pairs x 2 optimizer
+    settings x 2 telemetry settings x 2 storage backends, plus 16
+    partitioned-execution cells (parallel=2, telemetry off *and* on —
+    workers ship their telemetry shards back, so instrumented runs
     exercise the pool like any other)."""
     configs = []
     for strategy, dialect in STRATEGY_DIALECTS:
-        for executor in ("tuple", "batch"):
-            for optimizer in ("off", "cost"):
-                for telemetry in ("off", "on"):
-                    for storage in ("rows", "columnar"):
-                        configs.append(EngineConfig(
-                            dialect=dialect, executor=executor,
-                            optimizer=optimizer, strategy=strategy,
-                            telemetry=telemetry, storage=storage))
-    for strategy, dialect in STRATEGY_DIALECTS:
-        for executor in ("tuple", "batch"):
+        for optimizer in ("off", "cost"):
             for telemetry in ("off", "on"):
                 for storage in ("rows", "columnar"):
                     configs.append(EngineConfig(
-                        dialect=dialect, executor=executor,
-                        optimizer="off", strategy=strategy,
-                        telemetry=telemetry, storage=storage,
-                        parallel=2))
+                        dialect=dialect, optimizer=optimizer,
+                        strategy=strategy, telemetry=telemetry,
+                        storage=storage))
+    for strategy, dialect in STRATEGY_DIALECTS:
+        for telemetry in ("off", "on"):
+            for storage in ("rows", "columnar"):
+                configs.append(EngineConfig(
+                    dialect=dialect, optimizer="off", strategy=strategy,
+                    telemetry=telemetry, storage=storage, parallel=2))
     return tuple(configs)
 
 
@@ -113,8 +108,8 @@ def relevant_matrix(scenario: Scenario,
     seen: set[tuple] = set()
     out = []
     for config in matrix:
-        key = (config.dialect, config.executor, config.optimizer,
-               config.telemetry, config.storage, config.parallel)
+        key = (config.dialect, config.optimizer, config.telemetry,
+               config.storage, config.parallel)
         if key in seen:
             continue
         seen.add(key)

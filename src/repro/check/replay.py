@@ -55,8 +55,8 @@ def assert_matrix_agreement(tables, sql: str, recursive: bool = False,
     if not recursive:
         seen, reduced = set(), []
         for config in configs:
-            key = (config.dialect, config.executor, config.optimizer,
-                   config.telemetry)
+            key = (config.dialect, config.optimizer, config.telemetry,
+                   config.storage)
             if key not in seen:
                 seen.add(key)
                 reduced.append(config)

@@ -42,7 +42,6 @@ class StreamingScenario:
 
     seed: int
     kind: str                       # "graph" | "table"
-    executor: str = "tuple"
     storage: str = "rows"
     parallel: int = 0
     #: graph kind: initial vertices 0..nodes-1, initial (u, v, w) edges,
@@ -59,7 +58,7 @@ class StreamingScenario:
     def label(self) -> str:
         par = f" parallel={self.parallel}" if self.parallel else ""
         return (f"seed={self.seed} kind={self.kind}"
-                f" executor={self.executor} storage={self.storage}{par}"
+                f" storage={self.storage}{par}"
                 f" batches={len(self.batches)}")
 
 
@@ -124,7 +123,6 @@ def generate_streaming_scenario(seed: int) -> StreamingScenario:
 
 def _engine_knobs(rng: random.Random) -> dict:
     return {
-        "executor": rng.choice(("tuple", "tuple", "batch")),
         "storage": rng.choice(("rows", "rows", "columnar")),
         "parallel": 2 if rng.random() < 0.08 else 0,
     }
@@ -256,8 +254,7 @@ def _check_graph(scenario: StreamingScenario,
         graph.add_edge(u, v, w)
     if not graph.num_nodes:
         return None
-    engine = Engine("oracle", executor=scenario.executor,
-                    storage=scenario.storage,
+    engine = Engine("oracle", storage=scenario.storage,
                     parallel=scenario.parallel or None)
     manager = engine.streaming
     manager.attach_graph(graph)
@@ -341,8 +338,7 @@ def _check_table(scenario: StreamingScenario) -> str | None:
     from repro.relational.schema import Schema
     from repro.relational.types import SqlType
 
-    engine = Engine("oracle", executor=scenario.executor,
-                    storage=scenario.storage)
+    engine = Engine("oracle", storage=scenario.storage)
     table = engine.database.create_table(
         "TBL", Schema.of(("K", SqlType.INTEGER), ("A", SqlType.INTEGER),
                          primary_key=("K",)))

@@ -318,20 +318,17 @@ def cmd_fuzz(args) -> int:
     from repro.check.oracles import STRATEGY_DIALECTS, EngineConfig
 
     matrix = None
-    if (args.executors or args.optimizers or args.telemetry
-            or args.storage or args.parallel is not None):
-        executors = args.executors or ["tuple", "batch"]
+    if (args.optimizers or args.telemetry or args.storage
+            or args.parallel is not None):
         optimizers = args.optimizers or ["off", "cost"]
         telemetry = args.telemetry or ["off", "on"]
         storages = args.storage or ["rows", "columnar"]
         parallels = args.parallel if args.parallel is not None else [0]
         matrix = tuple(
-            EngineConfig(dialect=dialect, executor=executor,
-                         optimizer=optimizer, strategy=strategy,
-                         telemetry=mode, storage=storage,
-                         parallel=parallel)
+            EngineConfig(dialect=dialect, optimizer=optimizer,
+                         strategy=strategy, telemetry=mode,
+                         storage=storage, parallel=parallel)
             for strategy, dialect in STRATEGY_DIALECTS
-            for executor in executors
             for optimizer in optimizers
             for mode in telemetry
             for storage in storages
@@ -615,9 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2026)
     p.add_argument("--budget", type=int, default=200,
                    help="number of generated scenarios")
-    p.add_argument("--executors", nargs="*",
-                   choices=("tuple", "batch"),
-                   help="restrict the matrix's executor axis")
     p.add_argument("--optimizers", nargs="*", choices=("off", "cost"),
                    help="restrict the matrix's optimizer axis")
     p.add_argument("--telemetry", nargs="*", choices=("off", "on"),

@@ -7,7 +7,7 @@ the fact, without the live system.  A bundle is one self-contained JSON
 file holding:
 
 * the SQL text and the full engine configuration (dialect, mode,
-  executor, optimizer, storage backend, union-by-update strategy);
+  optimizer, storage backend, union-by-update strategy);
 * the failure, if any (exception type + message);
 * phase timings, row/iteration counts, and the fixpoint trajectory;
 * the per-operator EXPLAIN ANALYZE reports (``est_rows`` vs actual with
@@ -179,7 +179,6 @@ class FlightRecorder:
             "engine": {
                 "dialect": engine.dialect.name,
                 "mode": engine.mode,
-                "executor": engine.executor,
                 "optimizer": engine.optimizer,
                 "storage": engine.storage,
                 "union_by_update_strategy": engine.union_by_update_strategy,
@@ -278,6 +277,8 @@ def replay_bundle(path: str) -> ReplayOutcome:
         raise ValueError(
             f"bundle {path} truncated tables {truncated}; replay would"
             " run against partial data")
+    # Keys the engine no longer has (``executor``, recorded by bundles
+    # from before the hash operators had one implementation) are ignored.
     config = bundle["engine"]
     database = Database(storage=config["storage"])
     for name, spec in bundle["tables"].items():
@@ -288,8 +289,7 @@ def replay_bundle(path: str) -> ReplayOutcome:
         table = database.create_table(name, schema)
         table.insert_many(spec["rows"])
     engine = Engine(config["dialect"], database=database,
-                    mode=config["mode"], executor=config["executor"],
-                    optimizer=config["optimizer"],
+                    mode=config["mode"], optimizer=config["optimizer"],
                     storage=config["storage"])
     engine.union_by_update_strategy = config["union_by_update_strategy"]
     recorded_error = bundle.get("error")

@@ -356,7 +356,7 @@ class ColumnStore:
         ``"tuple-rows"`` map keys to row-tuple buckets (the batch join's
         build index), ``"scalar-positions"`` / ``"tuple-positions"`` map
         keys to row positions (for columnar gathers).  NULL keys are
-        excluded, matching the executors' build loops.  Returns
+        excluded, matching the hash joins' build loops.  Returns
         ``(index, build_rows_observed)``; the cache survives until any
         mutation, so a fixpoint loop probing a static build table pays
         the build cost once instead of once per iteration.
@@ -365,8 +365,6 @@ class ColumnStore:
         hit = self._index_cache.get(cache_key)
         if hit is not None:
             return hit
-        from operator import itemgetter
-
         rows = self.materialized()
         index: dict = {}
         if kind == "scalar-rows" or kind == "scalar-positions":
@@ -381,9 +379,10 @@ class ColumnStore:
                 else:
                     bucket.append(item)
         elif kind == "tuple-rows" or kind == "tuple-positions":
-            getter = itemgetter(*key_positions)
+            # Zipped columns: a tuple key even for a single position.
+            keys = zip(*(self.column(p) for p in key_positions))
             payload = rows if kind == "tuple-rows" else range(len(rows))
-            for key, item in zip(map(getter, rows), payload):
+            for key, item in zip(keys, payload):
                 if None in key:
                     continue
                 bucket = index.get(key)

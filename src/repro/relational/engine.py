@@ -82,19 +82,11 @@ class Engine:
     mode:
         ``"with+"`` (default) accepts the paper's enhanced recursion;
         ``"with"`` enforces the dialect's SQL'99 Table-1 restrictions.
-    executor:
-        ``"batch"`` (default) runs the hash-family operators as the
-        columnar batch kernels in :mod:`repro.relational.physical.batch`;
-        ``"tuple"`` keeps the iterator-model operators.  Results are
-        identical either way.  Plans differ only where the cost
-        optimizer picks a cached build side, which it does for every
-        stable build under ``"tuple"`` but only inside loops under
-        ``"batch"``.
     optimizer:
         ``"off"`` (default) keeps the dialect's modelled planner policy;
         ``"cost"`` replaces it with the statistics-driven
         :class:`~repro.relational.planner.CostBasedPolicy` (cardinality
-        estimation, join reordering, pushdown, cached build sides, and
+        estimation, join reordering, pushdown, build-side choice, and
         iteration-adaptive replanning).  The default stays off so the
         three dialect profiles keep reproducing the paper's plans.
     replan_factor:
@@ -120,8 +112,8 @@ class Engine:
         backend (itself defaulting to the ``REPRO_STORAGE`` environment
         variable, then ``"columnar"``).  Table loads keep their rows
         unencoded until ``compact()``.  Results are identical across
-        backends; only the physical layout — and the batch executor's
-        ability to run block kernels over it — differs.
+        backends; only the physical layout — and the operators' ability
+        to run block kernels over it — differs.
     parallel:
         Worker count for partitioned parallel execution (see
         ``docs/parallel.md``).  ``0``/``1`` stays serial; ``N >= 2``
@@ -135,7 +127,7 @@ class Engine:
 
     def __init__(self, dialect: str | Dialect = "oracle",
                  database: Database | None = None, mode: str = "with+",
-                 executor: str = "batch", optimizer: str = "off",
+                 optimizer: str = "off",
                  replan_factor: float = 8.0,
                  telemetry: str | bool | Telemetry | None = None,
                  storage: str | None = None,
@@ -159,12 +151,9 @@ class Engine:
         self.optimizer = optimizer
         if optimizer == "cost":
             self.policy: PlannerPolicy = POLICIES["cost-based"](
-                executor=executor, replan_factor=replan_factor,
-                storage=self.storage)
+                replan_factor=replan_factor, storage=self.storage)
         else:
-            self.policy = POLICIES[self.dialect.policy_name](
-                executor=executor)
-        self.executor = executor
+            self.policy = POLICIES[self.dialect.policy_name]()
         self.mode = mode
         self._ubu_strategy: str | None = None
         self.temp_indexes: dict[str, Sequence[str]] = {}
@@ -402,8 +391,7 @@ class Engine:
     def _config_labels(self) -> dict[str, str]:
         """The engine knobs every root span and query-log entry carries
         (``parallel`` is added per statement: the worker count used)."""
-        return {"executor": self.executor, "optimizer": self.optimizer,
-                "storage": self.storage}
+        return {"optimizer": self.optimizer, "storage": self.storage}
 
     def _publish_iterations(self, result: WithExecutionResult) -> None:
         """Refresh the virtual ``__iterations__`` relation with the just-run

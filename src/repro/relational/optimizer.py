@@ -45,10 +45,12 @@ from .physical import (
     ColumnPrune,
     Distinct,
     Filter,
-    HashAggregate,
+    HashAntiJoin,
+    HashFullOuterJoin,
+    HashLeftOuterJoin,
+    HashSemiJoin,
     IndexOrderedScan,
     Limit,
-    MergeJoin,
     NestedLoopJoin,
     NotInAntiJoin,
     PhysicalOperator,
@@ -56,7 +58,6 @@ from .physical import (
     RelationScan,
     Requalify,
     Sort,
-    SortAggregate,
     TableScan,
     WindowAggregate,
 )
@@ -184,35 +185,16 @@ class CardinalityEstimator:
     # -- joins --------------------------------------------------------------
 
     def _join_estimate(self, node: _BinaryJoin) -> float:
-        from .physical import (
-            HashAntiJoin,
-            HashFullOuterJoin,
-            HashJoin,
-            HashLeftOuterJoin,
-            HashSemiJoin,
-        )
-        from .physical.batch import (
-            BatchHashAntiJoin,
-            BatchHashFullOuterJoin,
-            BatchHashJoin,
-            BatchHashLeftOuterJoin,
-            BatchHashSemiJoin,
-        )
-
         left = self._side_estimate(node.left)
         right = self._side_estimate(node.right)
-        if isinstance(node, (HashSemiJoin, BatchHashSemiJoin)):
-            return left * SEMI_JOIN_SELECTIVITY
-        if isinstance(node, (HashAntiJoin, BatchHashAntiJoin)):
+        if isinstance(node, (HashSemiJoin, HashAntiJoin)):
             return left * SEMI_JOIN_SELECTIVITY
         inner = left * right * self.equi_join_selectivity(
             node.left, node.right, node.left_keys, node.right_keys)
-        if isinstance(node, (HashLeftOuterJoin, BatchHashLeftOuterJoin)):
+        if isinstance(node, HashLeftOuterJoin):
             return max(inner, left)
-        if isinstance(node, (HashFullOuterJoin, BatchHashFullOuterJoin)):
+        if isinstance(node, HashFullOuterJoin):
             return max(inner, left, right)
-        if isinstance(node, (HashJoin, BatchHashJoin, MergeJoin)):
-            return inner
         return inner
 
     def equi_join_selectivity(self, left: PhysicalOperator,

@@ -1,9 +1,10 @@
 """Physical (executable) operators for the relational engine.
 
-Operators follow the classic iterator model: each exposes an output
-:class:`~repro.relational.schema.Schema` and a ``rows()`` generator.  The
+Each operator exposes an output :class:`~repro.relational.schema.Schema`
+and a ``rows()`` iterator; the hash family, projections, filters and
+UNION ALL compute their output as one list (see :mod:`.batch`).  The
 planner (:mod:`repro.relational.planner`) assembles trees of these and the
-executor materialises the root into a
+engine materialises the root into a
 :class:`~repro.relational.relation.Relation`.
 """
 
@@ -13,7 +14,6 @@ from .scan import BindingScan, IndexOrderedScan, RelationScan, TableScan
 from .filter import Filter
 from .project import Project
 from .joins import (
-    CachedBuildHashJoin,
     HashAntiJoin,
     HashFullOuterJoin,
     HashJoin,
@@ -23,21 +23,10 @@ from .joins import (
     NestedLoopJoin,
     NotInAntiJoin,
     contains_binding_scan,
-    stable_input_fingerprint,
+    is_stable_input,
 )
 from .prune import ColumnPrune
 from .aggregate import HashAggregate, SortAggregate
-from .batch import (
-    BatchFilter,
-    BatchHashAggregate,
-    BatchHashAntiJoin,
-    BatchHashFullOuterJoin,
-    BatchHashJoin,
-    BatchHashLeftOuterJoin,
-    BatchHashSemiJoin,
-    BatchProject,
-    BatchUnionAll,
-)
 from .setops import ExceptOp, IntersectOp, UnionAllOp, UnionDistinctOp
 from .sort import Sort
 from .distinct import Distinct
@@ -65,9 +54,8 @@ __all__ = [
     "Project",
     "ColumnPrune",
     "HashJoin",
-    "CachedBuildHashJoin",
     "contains_binding_scan",
-    "stable_input_fingerprint",
+    "is_stable_input",
     "MergeJoin",
     "NestedLoopJoin",
     "HashLeftOuterJoin",
@@ -77,15 +65,6 @@ __all__ = [
     "NotInAntiJoin",
     "HashAggregate",
     "SortAggregate",
-    "BatchHashJoin",
-    "BatchHashLeftOuterJoin",
-    "BatchHashFullOuterJoin",
-    "BatchHashSemiJoin",
-    "BatchHashAntiJoin",
-    "BatchHashAggregate",
-    "BatchProject",
-    "BatchFilter",
-    "BatchUnionAll",
     "UnionAllOp",
     "UnionDistinctOp",
     "ExceptOp",

@@ -33,6 +33,15 @@ class PhysicalOperator:
         """Materialise the full output."""
         return Relation(self.schema, self.rows())
 
+    def columnar_store(self):
+        """The ColumnStore this node scans directly, or None."""
+        return None
+
+    def block_source(self):
+        """This node's output as a column batch (:mod:`.blocks`), or None
+        when it has no block form and the caller takes the row path."""
+        return None
+
 
 def explain_plan(root: PhysicalOperator) -> str:
     """Render a plan tree as indented text, one operator per line.

@@ -1,67 +1,64 @@
-"""Columnar batch kernels for the hottest physical operators.
+"""Shared machinery of the batch operators.
 
-These are drop-in twins of the tuple-at-a-time operators in
-:mod:`.joins` and :mod:`.aggregate`: same constructor signatures, same
-``label`` strings (so ``EXPLAIN`` output stays comparable across
-executors), and bit-identical results.  What changes is the execution
-style — instead of pulling one row at a time through nested generators,
-each kernel materialises its inputs in chunks, extracts join/grouping
-keys with precompiled ``operator.itemgetter`` calls over whole row
-batches, and builds output rows with list comprehensions.  That moves
-the per-row interpreter overhead (generator resumption, recursive
-expression evaluation, per-row arity checks) out of the hot loop and
-into a handful of C-level bulk operations.
+The hash-family operators (:class:`~.joins.HashJoin` and its outer,
+semi and anti variants, :class:`~.aggregate.HashAggregate`,
+:class:`~.project.Project`, :class:`~.filter.Filter` and
+:class:`~.setops.UnionAllOp`) compute their whole output as one row list
+instead of pulling one row at a time through nested generators: they
+materialise their inputs in chunks, extract join/grouping keys with
+precompiled ``operator.itemgetter`` calls over whole row batches, and
+build output rows with list comprehensions.  That moves the per-row
+interpreter overhead (generator resumption, recursive expression
+evaluation, per-row arity checks) out of the hot loop and into a handful
+of C-level bulk operations.
 
-The planner selects these classes under the default
-``Engine(..., executor="batch")``; ``executor="tuple"`` keeps the
-iterator-model operators.  Only the hash family has batch
-twins — ``MergeJoin``/``SortAggregate``/``NotInAntiJoin`` are dialect
-cost models in their own right and stay tuple-at-a-time under either
-executor.
+Over columnar tables they go further and exchange the column batches of
+:mod:`.blocks` instead of row tuples.  Dispatch is conservative three
+ways: (1) a subtree without a columnar anchor takes the row path; (2) an
+instrumented plan (EXPLAIN ANALYZE / telemetry="on") takes the row path
+too, so every inter-operator hand-off stays observable; (3) the block
+computation is speculative — if a vector kernel raises an
+``ArithmeticError`` or ``TypeError`` (the only errors raw operator
+evaluation raises), the operator replays through the row path, which
+reproduces the row-order error (or the result, when only the vectorized
+evaluation order could fail).  Any other exception propagates.
+
+``MergeJoin``, ``SortAggregate`` and ``NotInAntiJoin`` are dialect cost
+models in their own right and stay tuple-at-a-time.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import itemgetter
 from typing import Any, Iterator
 
-from ..errors import ExecutionError
 from ..expressions import BoundColumn, bind, single_column_getter
-from ..relation import Relation, Row, require_numeric
-from ..schema import Schema
-from .aggregate import _AggregateBase
+from ..relation import Relation, Row
 from .base import PhysicalOperator
-from .blocks import (
-    ColumnBatch,
-    ConcatColumns,
-    DerivedColumns,
-    FilteredColumns,
-    JoinColumns,
-    RowsColumns,
-    StoreColumns,
-    _none_free,
-    clean_numeric,
-    compile_vector,
-    grouped_count,
-    grouped_max,
-    grouped_min,
-    grouped_sum,
-    int_keys,
-)
-from .filter import Filter
-from .joins import _BinaryJoin
-from .project import Project
-from .rename import Requalify
-from .scan import BindingScan, RelationScan, TableScan
-from .setops import UnionAllOp
+from .blocks import ColumnBatch
 
 #: Rows pulled from a child iterator per batch.  Bounds peak memory for
 #: the probe side of joins while keeping per-chunk Python overhead low.
 CHUNK_SIZE = 4096
 
+#: What a speculative block computation may raise and still be replayed
+#: through the row path.
+REPLAYED_ERRORS = (ArithmeticError, TypeError)
 
-def _materialize(node: PhysicalOperator) -> list[Row]:
+
+class ListOperator(PhysicalOperator):
+    """An operator that computes its whole output as one row list."""
+
+    def _compute(self) -> list[Row]:
+        raise NotImplementedError
+
+    def execute(self) -> Relation:
+        return Relation.from_trusted_rows(self.schema, self._compute())
+
+    def rows(self) -> Iterator[Row]:
+        return iter(self._compute())
+
+
+def materialize(node: PhysicalOperator) -> list[Row]:
     """Pull every row of *node* into a list (one bulk drain)."""
     rows = node.rows()
     if isinstance(rows, list):
@@ -69,7 +66,7 @@ def _materialize(node: PhysicalOperator) -> list[Row]:
     return list(rows)
 
 
-def _chunks(node: PhysicalOperator) -> Iterator[list[Row]]:
+def chunks(node: PhysicalOperator) -> Iterator[list[Row]]:
     """Drain *node* in lists of at most :data:`CHUNK_SIZE` rows."""
     rows = node.rows()
     if isinstance(rows, list):
@@ -94,53 +91,35 @@ def _chunks(node: PhysicalOperator) -> Iterator[list[Row]]:
             return
 
 
-class _BatchBinaryJoin(_BinaryJoin):
-    """Batch twin machinery: scalar key getters + trusted materialise."""
-
-    def __init__(self, left, right, left_keys, right_keys):
-        super().__init__(left, right, left_keys, right_keys)
-        # Raw (untupled) getters for single-column keys; None for
-        # composite keys, where the tuple-returning itemgetter from
-        # _BinaryJoin is already a single C call.
-        self._left_scalar = _scalar_key(left_keys, left.schema)
-        self._right_scalar = _scalar_key(right_keys, right.schema)
-        # Key column positions (all-plain-column keys only): what the
-        # columnar store's cached hash indexes are keyed by.
-        self._left_positions = _bound_positions(left_keys, left.schema)
-        self._right_positions = _bound_positions(right_keys, right.schema)
-
-    def execute(self) -> Relation:
-        return Relation.from_trusted_rows(self.schema, self._compute())
-
-    def rows(self) -> Iterator[Row]:
-        return iter(self._compute())
-
-    def _compute(self) -> list[Row]:
-        raise NotImplementedError
-
-
-def _scalar_key(keys, schema):
-    from ..expressions import bind
-
+def scalar_key(keys, schema):
+    """Raw (untupled) getter for a single-column key, else None."""
     return single_column_getter([bind(k, schema) for k in keys])
 
 
-def _build_index_scalar(rows: list[Row], getter) -> dict[Any, list[Row]]:
-    """key -> bucket over *rows*, skipping NULL keys (they match nothing)."""
+def bound_positions(keys, schema) -> tuple[int, ...] | None:
+    """Column positions when every key is a plain column reference."""
+    bound = [bind(k, schema) for k in keys]
+    if bound and all(isinstance(b, BoundColumn) for b in bound):
+        return tuple(b.index for b in bound)
+    return None
+
+
+def build_index(rows: list[Row], scalar, key_fn) -> dict[Any, list[Row]]:
+    """key -> bucket over *rows*, skipping NULL keys (they match nothing).
+
+    *scalar* is the raw single-column getter when there is one; otherwise
+    *key_fn* yields key tuples."""
     index: dict[Any, list[Row]] = {}
-    for key, row in zip(map(getter, rows), rows):
-        if key is None:
-            continue
-        bucket = index.get(key)
-        if bucket is None:
-            index[key] = [row]
-        else:
-            bucket.append(row)
-    return index
-
-
-def _build_index_tuple(rows: list[Row], key_fn) -> dict[tuple, list[Row]]:
-    index: dict[tuple, list[Row]] = {}
+    if scalar is not None:
+        for key, row in zip(map(scalar, rows), rows):
+            if key is None:
+                continue
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = [row]
+            else:
+                bucket.append(row)
+        return index
     for key, row in zip(map(key_fn, rows), rows):
         if None in key:
             continue
@@ -152,7 +131,7 @@ def _build_index_tuple(rows: list[Row], key_fn) -> dict[tuple, list[Row]]:
     return index
 
 
-def _key_set(rows: list[Row], scalar, key_fn) -> set:
+def key_set(rows: list[Row], scalar, key_fn) -> set:
     """Non-NULL key set for semi/anti joins (build side)."""
     if scalar is not None:
         return {key for key in map(scalar, rows) if key is not None}
@@ -160,26 +139,6 @@ def _key_set(rows: list[Row], scalar, key_fn) -> set:
 
 
 # -- block pipeline dispatch -------------------------------------------------
-#
-# When a plan subtree is anchored at a columnar table scan, the batch
-# kernels switch from row tuples to the column batches of
-# :mod:`.blocks`.  Dispatch is conservative three ways: (1) a subtree
-# without a columnar anchor takes exactly the pre-existing row path, so
-# row-storage engines are untouched; (2) an instrumented plan (EXPLAIN
-# ANALYZE / telemetry="on") falls back so every inter-operator hand-off
-# stays observable; (3) the block computation is speculative — if a
-# kernel raises, the caller replays the operator through the row path,
-# which reproduces the row engine's exact error (or its result, when
-# only the vectorized evaluation order could fail).
-
-
-def _columnar_store(node: PhysicalOperator):
-    """The node's ColumnStore when it is a columnar table scan."""
-    if isinstance(node, TableScan):
-        store = node.table.rows
-        if getattr(store, "storage", "rows") == "columnar":
-            return store
-    return None
 
 
 def _instrumented(node: PhysicalOperator) -> bool:
@@ -190,729 +149,17 @@ def _instrumented(node: PhysicalOperator) -> bool:
 
 
 def _has_columnar_anchor(node: PhysicalOperator) -> bool:
-    if _columnar_store(node) is not None:
+    if node.columnar_store() is not None:
         return True
     return any(_has_columnar_anchor(child) for child in node.children())
 
 
-def _block_eligible(node: PhysicalOperator) -> bool:
+def block_eligible(node: PhysicalOperator) -> bool:
     return _has_columnar_anchor(node) and not _instrumented(node)
 
 
-def _bound_positions(keys, schema) -> tuple[int, ...] | None:
-    """Column positions when every key is a plain column reference."""
-    bound = [bind(k, schema) for k in keys]
-    if bound and all(isinstance(b, BoundColumn) for b in bound):
-        return tuple(b.index for b in bound)
-    return None
-
-
-def _batch_source(node: PhysicalOperator) -> ColumnBatch | None:
+def batch_source(node: PhysicalOperator) -> ColumnBatch | None:
     """Resolve *node* into a column batch, or None to use the row path."""
     if "rows" in node.__dict__:
         return None
-    store = _columnar_store(node)
-    if store is not None:
-        return StoreColumns(store)
-    if isinstance(node, (RelationScan, BindingScan)):
-        return RowsColumns(list(node.rows()), node.schema.arity)
-    if isinstance(node, Requalify):
-        # Pure rename (ρ): rows pass through untouched.
-        return _batch_source(node.child)
-    if isinstance(node, BatchProject):
-        vectors = [compile_vector(bound) for bound, _ in node.items]
-        if any(v is None for v in vectors):
-            return None
-        child = _batch_source(node.child)
-        if child is None:
-            return None
-        return DerivedColumns(
-            child.length,
-            [(lambda v=v: v(child)) for v in vectors])
-    if isinstance(node, BatchFilter):
-        predicate = compile_vector(node.predicate)
-        if predicate is None:
-            return None
-        child = _batch_source(node.child)
-        if child is None:
-            return None
-        selection = [i for i, keep in enumerate(predicate(child))
-                     if keep is True]
-        return FilteredColumns(child, selection)
-    if isinstance(node, BatchUnionAll):
-        left = _batch_source(node.left)
-        if left is None:
-            return None
-        right = _batch_source(node.right)
-        if right is None:
-            return None
-        return ConcatColumns(left, right)
-    if type(node) is BatchHashJoin:
-        return node._block_source()
-    return None
-
-
-class BatchHashJoin(_BatchBinaryJoin):
-    """Inner equi-join, batch build + chunked probe.
-
-    NULL join keys never enter the build index, so probe lookups need no
-    explicit NULL test — a NULL probe key simply misses.
-    """
-
-    label = "Hash Join"
-
-    def __init__(self, left, right, left_keys, right_keys,
-                 build_side: str = "right"):
-        super().__init__(left, right, left_keys, right_keys)
-        if build_side not in ("left", "right"):
-            raise ValueError(f"bad build_side {build_side!r}")
-        self.build_side = build_side
-
-    def detail(self) -> str:
-        base = super().detail()
-        if self.build_side == "left":
-            return f"{base}; build left"
-        return base
-
-    def _block_source(self) -> ColumnBatch | None:
-        """Join output as gather vectors over a position index — no
-        concatenated row tuples are built at all.
-
-        When the build side is a columnar scan, the position index comes
-        from the store's cache and survives across fixpoint iterations;
-        otherwise (the common recursive shape puts the small delta on the
-        build side) an ephemeral index is built from the batch's key
-        column — same O(|build|) as the row path, but probing still pays
-        column-gather prices instead of per-row tuple construction.
-        """
-        if self.build_side == "right":
-            build, probe = self.right, self.left
-            build_positions = self._right_positions
-            probe_positions = self._left_positions
-        else:
-            build, probe = self.left, self.right
-            build_positions = self._left_positions
-            probe_positions = self._right_positions
-        if build_positions is None or probe_positions is None:
-            return None
-        probe_src = _batch_source(probe)
-        if probe_src is None:
-            return None
-        scalar = len(build_positions) == 1
-        kind = "scalar-positions" if scalar else "tuple-positions"
-        store = _columnar_store(build)
-        probe_store = _columnar_store(probe)
-        probe_idx: list[int] = []
-        build_pos: list[int] = []
-        if store is None and probe_store is not None and scalar:
-            # The recursive shape: small per-iteration delta on the
-            # build side, columnar table on the probe side.  The build
-            # keys are almost always unique (a consolidated delta keyed
-            # by vertex), so one dict maps key -> build position, and
-            # ``map(get, probe_keys)`` resolves every probe row in a
-            # single C pass — output lands in the row path's probe-major
-            # order with no sort and no per-probe-row Python iteration.
-            build_src = _batch_source(build)
-            if build_src is None:
-                return None
-            build_keys = build_src.column(build_positions[0])
-            if None not in build_keys:
-                # All-C construction: dict(zip(...)) keeps the *last*
-                # position per duplicate key, so a size mismatch both
-                # detects duplicates and (when unique) yields the map.
-                pos_map = dict(zip(build_keys, range(len(build_keys))))
-                unique = len(pos_map) == len(build_keys)
-            else:
-                pos_map = {}
-                unique = True
-                for pos, key in enumerate(build_keys):
-                    if key is None:
-                        continue
-                    if key in pos_map:
-                        unique = False
-                        break
-                    pos_map[key] = pos
-            probe_keys = probe_src.column(probe_positions[0])
-            if unique:
-                self.build_rows_observed += len(pos_map)
-                hits = list(map(pos_map.get, probe_keys))
-                if None not in hits:
-                    probe_idx = None  # identity: all probe rows match
-                    build_pos = hits
-                else:
-                    probe_idx = [i for i, h in enumerate(hits)
-                                 if h is not None]
-                    build_pos = [h for h in hits if h is not None]
-            else:
-                # Duplicate build keys: fall back to bucketed pairs and
-                # restore probe-major order (ties resolve to build-row
-                # order, as dict buckets do) with one C sort.
-                index, _ = probe_store.join_index(probe_positions, kind)
-                observed = len(build_keys) - build_keys.count(None)
-                self.build_rows_observed += observed
-                pairs: list[tuple[int, int]] = []
-                extend = pairs.extend
-                get = index.get
-                for pos, key in enumerate(build_keys):
-                    bucket = get(key)
-                    if bucket is not None:
-                        extend(zip(bucket, repeat(pos)))
-                pairs.sort()
-                probe_idx = [pair[0] for pair in pairs]
-                build_pos = [pair[1] for pair in pairs]
-            return JoinColumns(probe_src, build_src, probe_idx, build_pos,
-                               probe.schema.arity, build.schema.arity,
-                               probe_is_left=(self.build_side == "right"))
-        if store is not None:
-            index, observed = store.join_index(build_positions, kind)
-            build_src: ColumnBatch = StoreColumns(store)
-        else:
-            build_src = _batch_source(build)
-            if build_src is None:
-                return None
-            index = {}
-            if scalar:
-                build_keys = build_src.column(build_positions[0])
-            else:
-                build_keys = zip(*(build_src.column(p)
-                                   for p in build_positions))
-            for pos, key in enumerate(build_keys):
-                if (key is None if scalar else None in key):
-                    continue
-                bucket = index.get(key)
-                if bucket is None:
-                    index[key] = [pos]
-                else:
-                    bucket.append(pos)
-            observed = sum(map(len, index.values()))
-        self.build_rows_observed += observed
-        if scalar:
-            keys = probe_src.column(probe_positions[0])
-        else:
-            keys = zip(*(probe_src.column(p) for p in probe_positions))
-        if index:
-            get = index.get
-            extend_pos = build_pos.extend
-            extend_idx = probe_idx.extend
-            for i, key in enumerate(keys):
-                bucket = get(key)
-                if bucket is not None:
-                    extend_pos(bucket)
-                    extend_idx(repeat(i, len(bucket)))
-        return JoinColumns(probe_src, build_src, probe_idx, build_pos,
-                           probe.schema.arity, build.schema.arity,
-                           probe_is_left=(self.build_side == "right"))
-
-    def _cached_index_rows(self) -> list[Row] | None:
-        """Row-output probe against the build store's cached row index
-        (the pipeline-exit twin of :meth:`_block_source`)."""
-        if self.build_side == "right":
-            build, probe = self.right, self.left
-            positions = self._right_positions
-            probe_scalar, probe_tuple = self._left_scalar, self._left_key
-        else:
-            build, probe = self.left, self.right
-            positions = self._left_positions
-            probe_scalar, probe_tuple = self._right_scalar, self._right_key
-        store = _columnar_store(build)
-        if store is None or positions is None:
-            return None
-        if len(positions) == 1 and probe_scalar is not None:
-            index, observed = store.join_index(positions, "scalar-rows")
-            probe_key = probe_scalar
-        else:
-            index, observed = store.join_index(positions, "tuple-rows")
-            probe_key = probe_tuple
-        self.build_rows_observed += observed
-        out: list[Row] = []
-        if not index:
-            return out
-        extend = out.extend
-        get = index.get
-        if self.build_side == "right":
-            for chunk in _chunks(probe):
-                extend([row + match
-                        for key, row in zip(map(probe_key, chunk), chunk)
-                        for match in get(key, ())])
-        else:
-            for chunk in _chunks(probe):
-                extend([match + row
-                        for key, row in zip(map(probe_key, chunk), chunk)
-                        for match in get(key, ())])
-        return out
-
-    def _compute(self) -> list[Row]:
-        if _block_eligible(self):
-            fast = self._cached_index_rows()
-            if fast is not None:
-                return fast
-        if self.build_side == "right":
-            build, probe = self.right, self.left
-            build_scalar, probe_scalar = self._right_scalar, self._left_scalar
-            build_tuple, probe_tuple = self._right_key, self._left_key
-        else:
-            build, probe = self.left, self.right
-            build_scalar, probe_scalar = self._left_scalar, self._right_scalar
-            build_tuple, probe_tuple = self._left_key, self._right_key
-        build_rows = _materialize(build)
-        if build_scalar is not None:
-            index = _build_index_scalar(build_rows, build_scalar)
-            probe_key = probe_scalar
-        else:
-            index = _build_index_tuple(build_rows, build_tuple)
-            probe_key = probe_tuple
-        self.build_rows_observed += sum(map(len, index.values()))
-        out: list[Row] = []
-        extend = out.extend
-        get = index.get
-        build_is_right = self.build_side == "right"
-        if not index:
-            return out
-        for chunk in _chunks(probe):
-            if build_is_right:
-                extend([row + match
-                        for key, row in zip(map(probe_key, chunk), chunk)
-                        for match in get(key, ())])
-            else:
-                extend([match + row
-                        for key, row in zip(map(probe_key, chunk), chunk)
-                        for match in get(key, ())])
-        return out
-
-
-class BatchHashLeftOuterJoin(_BatchBinaryJoin):
-    """Left outer equi-join, NULL-padding unmatched left rows."""
-
-    label = "Hash Left Join"
-
-    def _compute(self) -> list[Row]:
-        right_rows = _materialize(self.right)
-        if self._right_scalar is not None:
-            index = _build_index_scalar(right_rows, self._right_scalar)
-            probe_key = self._left_scalar
-        else:
-            index = _build_index_tuple(right_rows, self._right_key)
-            probe_key = self._left_key
-        self.build_rows_observed += sum(map(len, index.values()))
-        pad = (None,) * self.right.schema.arity
-        out: list[Row] = []
-        extend = out.extend
-        append = out.append
-        get = index.get
-        for chunk in _chunks(self.left):
-            for key, row in zip(map(probe_key, chunk), chunk):
-                matches = get(key)
-                if matches:
-                    extend(row + match for match in matches)
-                else:
-                    append(row + pad)
-        return out
-
-
-class BatchHashFullOuterJoin(_BatchBinaryJoin):
-    """Full outer equi-join — the paper's preferred union-by-update plan."""
-
-    label = "Hash Full Join"
-
-    def _compute(self) -> list[Row]:
-        right_rows = _materialize(self.right)
-        index: dict[Any, list[int]] = {}
-        if self._right_scalar is not None:
-            for pos, key in enumerate(map(self._right_scalar, right_rows)):
-                if key is None:
-                    continue
-                bucket = index.get(key)
-                if bucket is None:
-                    index[key] = [pos]
-                else:
-                    bucket.append(pos)
-            probe_key = self._left_scalar
-        else:
-            for pos, key in enumerate(map(self._right_key, right_rows)):
-                if None in key:
-                    continue
-                bucket = index.get(key)
-                if bucket is None:
-                    index[key] = [pos]
-                else:
-                    bucket.append(pos)
-            probe_key = self._left_key
-        self.build_rows_observed += sum(map(len, index.values()))
-        matched: set[int] = set()
-        add_matched = matched.add
-        pad_right = (None,) * self.right.schema.arity
-        pad_left = (None,) * self.left.schema.arity
-        out: list[Row] = []
-        append = out.append
-        get = index.get
-        for chunk in _chunks(self.left):
-            for key, row in zip(map(probe_key, chunk), chunk):
-                positions = get(key)
-                if positions:
-                    for pos in positions:
-                        add_matched(pos)
-                        append(row + right_rows[pos])
-                else:
-                    append(row + pad_right)
-        if len(matched) < len(right_rows):
-            out.extend(pad_left + row
-                       for pos, row in enumerate(right_rows)
-                       if pos not in matched)
-        return out
-
-
-class BatchHashSemiJoin(_BatchBinaryJoin):
-    """Left rows with at least one right match (EXISTS).
-
-    The build set holds no NULL keys, so a NULL probe key misses the
-    ``in`` test and is (correctly) dropped without an explicit check.
-    """
-
-    label = "Hash Semi Join"
-
-    @property
-    def schema(self) -> Schema:
-        return self.left.schema
-
-    def _compute(self) -> list[Row]:
-        keys = _key_set(_materialize(self.right),
-                        self._right_scalar, self._right_key)
-        probe_key = self._left_scalar or self._left_key
-        out: list[Row] = []
-        if not keys:
-            return out
-        for chunk in _chunks(self.left):
-            out.extend(row for key, row in zip(map(probe_key, chunk), chunk)
-                       if key in keys)
-        return out
-
-
-class BatchHashAntiJoin(_BatchBinaryJoin):
-    """Left rows with no right match — NOT EXISTS / LEFT JOIN ... IS NULL.
-
-    A NULL probe key never equals a build key, so it is not ``in`` the
-    (NULL-free) build set and survives — EXISTS-style semantics fall out
-    of the set test with no per-row NULL branch.
-    """
-
-    label = "Hash Anti Join"
-
-    @property
-    def schema(self) -> Schema:
-        return self.left.schema
-
-    def _compute(self) -> list[Row]:
-        keys = _key_set(_materialize(self.right),
-                        self._right_scalar, self._right_key)
-        probe_key = self._left_scalar or self._left_key
-        if not keys:
-            return _materialize(self.left)
-        out: list[Row] = []
-        seen = 0
-        for chunk in _chunks(self.left):
-            seen += len(chunk)
-            out.extend(row for key, row in zip(map(probe_key, chunk), chunk)
-                       if key not in keys)
-        self.pruned_total += seen - len(out)
-        return out
-
-
-#: Sentinel distinguishing "group not seen" from a NULL accumulator.
-_MISSING = object()
-
-
-class BatchHashAggregate(_AggregateBase):
-    """Single-pass dict grouping with incremental scalar accumulators.
-
-    The tuple twin collects every group's values into per-aggregate lists
-    and folds them at the end; this kernel keeps one running scalar per
-    (group, aggregate) instead, and specialises the overwhelmingly common
-    single-aggregate case (PageRank's ``sum``, WCC/SSSP's ``min``) down
-    to a dict-get / compare / dict-set loop.
-    """
-
-    label = "Hash Aggregate"
-
-    def __init__(self, child, keys, aggregates, key_aliases=None):
-        super().__init__(child, keys, aggregates, key_aliases)
-        self._scalar_key = single_column_getter(self._bound_keys)
-        # Single-column key + single-column argument (PageRank, WCC, SSSP
-        # all fit): one two-slot itemgetter yields (key, value) pairs in C
-        # instead of two Python-level calls per row.
-        self._kv_getter = None
-        if (self._scalar_key is not None and len(self._bound_args) == 1
-                and isinstance(self._bound_args[0], BoundColumn)):
-            self._kv_getter = itemgetter(self._bound_keys[0].index,
-                                         self._bound_args[0].index)
-
-    def execute(self) -> Relation:
-        return Relation.from_trusted_rows(self.schema, self._compute())
-
-    def rows(self) -> Iterator[tuple]:
-        return iter(self._compute())
-
-    # -- single-aggregate fast paths -----------------------------------
-    def _block_single(self, function: str) -> list[tuple] | None:
-        """Whole-column grouped aggregation over a block pipeline.
-
-        Speculative: any exception (heterogeneous values, a kernel the
-        vectorizer mis-covers) returns None and the caller replays the
-        row path, reproducing its exact result or error.
-        """
-        try:
-            src = _batch_source(self.child)
-            if src is None:
-                return None
-            keys = src.column(self._bound_keys[0].index)
-            if not int_keys(keys):
-                return None
-            arg_expr = self._bound_args[0] if self._bound_args else None
-            if function == "count":
-                if arg_expr is not None:
-                    vector = compile_vector(arg_expr)
-                    if vector is None or not _none_free(vector(src)):
-                        return None
-                return grouped_count(keys)
-            if arg_expr is None:
-                return None
-            vector = compile_vector(arg_expr)
-            if vector is None:
-                return None
-            values = vector(src)
-            if not clean_numeric(values):
-                return None
-            if function == "sum":
-                return grouped_sum(keys, values)
-            if function == "min":
-                return grouped_min(keys, values)
-            if function == "max":
-                return grouped_max(keys, values)
-            return None
-        except Exception:
-            return None
-
-    def _compute_single(self, function: str, arg) -> list[tuple]:
-        if self._scalar_key is not None and _block_eligible(self):
-            fast = self._block_single(function)
-            if fast is not None:
-                return fast
-        key_fn = self._scalar_key or self._key_fn
-        acc: dict[Any, Any] = {}
-        get = acc.get
-        child_rows = _materialize(self.child)
-        if not child_rows and not self.keys:
-            return [self._empty_row()]
-        if arg is not None:
-            if self._kv_getter is not None:
-                pairs = map(self._kv_getter, child_rows)
-            else:
-                # Listcomp, not genexpr: the accumulation loops below then
-                # unpack plain tuples with no generator frame switches.
-                pairs = [(key_fn(row), arg(row)) for row in child_rows]
-        if function == "count":
-            if arg is None:
-                for key in map(key_fn, child_rows):
-                    acc[key] = get(key, 0) + 1
-            else:
-                for key, value in pairs:
-                    if value is not None:
-                        acc[key] = get(key, 0) + 1
-                    elif key not in acc:
-                        acc[key] = 0
-        elif function == "sum":
-            # The numeric guard runs only when a group's accumulator is
-            # first written (cold path); heterogeneous late rows surface
-            # as a TypeError from ``+`` and are normalised below so both
-            # executors raise the same ExecutionError.
-            try:
-                for key, value in pairs:
-                    current = get(key, _MISSING)
-                    if current is _MISSING:
-                        require_numeric(function, value)
-                        acc[key] = value
-                    elif value is not None:
-                        if current is None:
-                            require_numeric(function, value)
-                            acc[key] = value
-                        else:
-                            acc[key] = current + value
-            except TypeError:
-                raise ExecutionError(
-                    f"{function}() requires numeric values") from None
-        elif function == "min":
-            for key, value in pairs:
-                current = get(key, _MISSING)
-                if current is _MISSING:
-                    acc[key] = value
-                elif value is not None and (current is None
-                                            or value < current):
-                    acc[key] = value
-        elif function == "max":
-            for key, value in pairs:
-                current = get(key, _MISSING)
-                if current is _MISSING:
-                    acc[key] = value
-                elif value is not None and (current is None
-                                            or value > current):
-                    acc[key] = value
-        else:  # avg
-            counts: dict[Any, int] = {}
-            try:
-                for key, value in pairs:
-                    if value is not None:
-                        current = get(key)
-                        if current is None:
-                            require_numeric(function, value)
-                            acc[key] = value
-                        else:
-                            acc[key] = current + value
-                        counts[key] = counts.get(key, 0) + 1
-                    elif key not in acc:
-                        acc[key] = None
-            except TypeError:
-                raise ExecutionError(
-                    f"{function}() requires numeric values") from None
-            if self._scalar_key is not None:
-                return [(key, None if key not in counts
-                         else acc[key] / counts[key])
-                        for key in acc]
-            return [key + (None if key not in counts
-                           else acc[key] / counts[key],)
-                    for key in acc]
-        if not self.keys and not acc:
-            return [self._empty_row()]
-        if self._scalar_key is not None:
-            return [(key, value) for key, value in acc.items()]
-        return [key + (value,) for key, value in acc.items()]
-
-    def _empty_row(self) -> tuple:
-        values = []
-        for spec in self.aggregates:
-            values.append(0 if spec.function == "count" else None)
-        return tuple(values)
-
-    # -- generic path --------------------------------------------------
-    def _compute(self) -> list[tuple]:
-        if len(self.aggregates) == 1:
-            spec = self.aggregates[0]
-            return self._compute_single(spec.function, self._arg_fns[0])
-        key_fn = self._scalar_key or self._key_fn
-        arg_fns = self._arg_fns
-        functions = [spec.function for spec in self.aggregates]
-        n = len(functions)
-        # slot layout: running scalar per aggregate; avg uses (sum, count)
-        groups: dict[Any, list[Any]] = {}
-        counts_needed = any(f == "avg" for f in functions)
-        avg_counts: dict[Any, list[int]] = {} if counts_needed else {}
-        for row in _materialize(self.child):
-            key = key_fn(row)
-            bucket = groups.get(key)
-            if bucket is None:
-                bucket = groups[key] = [0 if f == "count" else None
-                                        for f in functions]
-                if counts_needed:
-                    avg_counts[key] = [0] * n
-            for i in range(n):
-                arg = arg_fns[i]
-                function = functions[i]
-                if function == "count":
-                    if arg is None or arg(row) is not None:
-                        bucket[i] += 1
-                    continue
-                value = arg(row)
-                if value is None:
-                    continue
-                current = bucket[i]
-                if function == "sum" or function == "avg":
-                    if current is None:
-                        require_numeric(function, value)
-                        bucket[i] = value
-                    else:
-                        try:
-                            bucket[i] = current + value
-                        except TypeError:
-                            raise ExecutionError(
-                                f"{function}() requires numeric values"
-                            ) from None
-                    if function == "avg":
-                        avg_counts[key][i] += 1
-                elif function == "min":
-                    if current is None or value < current:
-                        bucket[i] = value
-                else:  # max
-                    if current is None or value > current:
-                        bucket[i] = value
-        if not self.keys and not groups:
-            return [self._empty_row()]
-        out: list[tuple] = []
-        scalar = self._scalar_key is not None
-        for key, bucket in groups.items():
-            values = []
-            for i in range(n):
-                if functions[i] == "avg":
-                    count = avg_counts[key][i]
-                    values.append(None if count == 0 else bucket[i] / count)
-                else:
-                    values.append(bucket[i])
-            prefix = (key,) if scalar else key
-            out.append(prefix + tuple(values))
-        return out
-
-
-class BatchProject(Project):
-    """Project twin: one list-comprehension pass with the compiled
-    row-builder, and a trusted materialise at the plan root (skipping the
-    per-row validation of ``Relation.__init__``)."""
-
-    def execute(self) -> Relation:
-        return Relation.from_trusted_rows(self.schema, self._compute())
-
-    def rows(self) -> Iterator[Row]:
-        return iter(self._compute())
-
-    def _compute(self) -> list[Row]:
-        if _block_eligible(self):
-            try:
-                source = _batch_source(self)
-                if source is not None:
-                    return source.rows()
-            except Exception:
-                pass  # replay through the row path for the exact error
-        return list(map(self._builder, _materialize(self.child)))
-
-
-class BatchFilter(Filter):
-    """Filter twin: whole-input list comprehension over the compiled
-    predicate instead of a per-row generator."""
-
-    def execute(self) -> Relation:
-        return Relation.from_trusted_rows(self.schema, self._compute())
-
-    def rows(self) -> Iterator[Row]:
-        return iter(self._compute())
-
-    def _compute(self) -> list[Row]:
-        if _block_eligible(self):
-            try:
-                source = _batch_source(self)
-                if source is not None:
-                    return source.rows()
-            except Exception:
-                pass  # replay through the row path for the exact error
-        evaluate = self._compiled
-        return [row for row in _materialize(self.child)
-                if evaluate(row) is True]
-
-
-class BatchUnionAll(UnionAllOp):
-    """UNION ALL twin: concatenate the materialised inputs in one list
-    operation instead of chaining per-row generators."""
-
-    def execute(self) -> Relation:
-        return Relation.from_trusted_rows(self.schema, self._compute())
-
-    def rows(self) -> Iterator[Row]:
-        return iter(self._compute())
-
-    def _compute(self) -> list[Row]:
-        return _materialize(self.left) + _materialize(self.right)
+    return node.block_source()

@@ -1,6 +1,6 @@
 """Column batches and vectorized kernels for the block pipeline.
 
-When the batch executor runs over :class:`~repro.relational.columnar`
+When the batch operators run over :class:`~repro.relational.columnar`
 storage, eligible operators stop exchanging row tuples and exchange
 *column batches* instead: an object exposing ``length`` and
 ``column(j) -> list``.  Scans hand out the store's decoded vectors,
@@ -12,9 +12,12 @@ an operator without a block implementation).
 
 Everything here is *speculative*: the dispatch in
 :mod:`.batch` only takes these paths when the result is provably
-identical to the row-at-a-time computation, and any exception raised
-mid-kernel makes the caller replay the operator through the row path so
-error type, message and blame order match the row engine exactly.
+identical to the row-at-a-time computation, and an ``ArithmeticError``
+or ``TypeError`` raised mid-kernel makes the caller replay the operator
+through the row path so error type, message and blame order match the
+row engine exactly.  So a zero divisor raises ``ZeroDivisionError`` in
+a column kernel, and the replayed row path raises the typed error in
+row order.
 
 Semantics mirrored from :mod:`..expressions`:
 
@@ -41,6 +44,7 @@ except Exception:  # pragma: no cover - environment without numpy
 
 from ..expressions import (
     _RAW_BINARY_OPS,
+    _sql_div,
     BinaryOp,
     BoundColumn,
     Expression,
@@ -51,6 +55,16 @@ from ..expressions import (
 
 Vector = list
 VectorFn = Callable[["ColumnBatch"], Vector]
+
+
+def _vector_div(a, b):
+    if b == 0:
+        raise ZeroDivisionError  # replayed: the row path raises the typed error
+    return _sql_div(a, b)
+
+
+#: The raw operators with division swapped for its replayable form.
+_VECTOR_OPS = {**_RAW_BINARY_OPS, "/": _vector_div}
 
 
 class ColumnBatch:
@@ -251,7 +265,7 @@ def compile_vector(expr: Expression) -> VectorFn | None:
         index = expr.index
         return lambda batch: batch.column(index)
     if isinstance(expr, BinaryOp):
-        raw = _RAW_BINARY_OPS.get(expr.op)
+        raw = _VECTOR_OPS.get(expr.op)
         if raw is None:
             return None
         if isinstance(expr.right, Literal) and expr.right.value is not None \
@@ -320,7 +334,7 @@ def compile_vector(expr: Expression) -> VectorFn | None:
 
 # -- grouped aggregate kernels ------------------------------------------------
 #
-# The kernels mirror the accumulation loops of the batch executor's
+# The kernels mirror the accumulation loops of the hash aggregate's
 # single-aggregate fast path exactly, but read (key, value) pairs from
 # whole column vectors instead of itemgetters over join-output row
 # tuples.  The caller guarantees *clean* inputs — hashable keys and, for

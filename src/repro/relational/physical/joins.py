@@ -16,12 +16,25 @@ behaviour maps onto them as follows:
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from itertools import repeat
+from typing import Any, Callable, Iterator, Sequence
 
 from ..expressions import Expression, bind, compile_expression, compile_key_function
 from ..relation import Row
 from ..schema import Schema
 from .base import PhysicalOperator
+from .batch import (
+    ListOperator,
+    batch_source,
+    block_eligible,
+    bound_positions,
+    build_index,
+    chunks,
+    key_set,
+    materialize,
+    scalar_key,
+)
+from .blocks import ColumnBatch, JoinColumns, StoreColumns
 from .scan import IndexOrderedScan
 
 KeyFn = Callable[[Row], tuple]
@@ -67,13 +80,41 @@ class _BinaryJoin(PhysicalOperator):
         return f"{_keys_sql(self.left_keys)} = {_keys_sql(self.right_keys)}"
 
 
-class HashJoin(_BinaryJoin):
+class _HashJoinBase(_BinaryJoin, ListOperator):
+    """Batch build + chunked probe: scalar key getters for single-column
+    keys and a trusted materialise of the output list."""
+
+    def __init__(self, left, right, left_keys, right_keys):
+        super().__init__(left, right, left_keys, right_keys)
+        # Raw (untupled) getters when both sides key on one plain column;
+        # otherwise both are None and both sides use the tuple-returning
+        # key functions from _BinaryJoin (a single C call for columns), so
+        # build and probe keys always have the same shape.
+        left_scalar = scalar_key(left_keys, left.schema)
+        right_scalar = scalar_key(right_keys, right.schema)
+        if left_scalar is None or right_scalar is None:
+            left_scalar = right_scalar = None
+        self._left_scalar = left_scalar
+        self._right_scalar = right_scalar
+        # Key column positions (all-plain-column keys only): what the
+        # columnar store's cached hash indexes are keyed by.
+        self._left_positions = bound_positions(left_keys, left.schema)
+        self._right_positions = bound_positions(right_keys, right.schema)
+
+
+class HashJoin(_HashJoinBase):
     """Inner equi-join: build a hash table on one side, probe with the other.
 
     ``build_side`` is chosen by the planner policy — with fresh statistics
     (the Oracle/DB2 profiles) the smaller input becomes the build side,
     which is precisely the plan quality the paper credits the commercial
     optimizers with; without statistics the default (right) build is used.
+
+    NULL join keys never enter the build index, so probe lookups need no
+    explicit NULL test — a NULL probe key simply misses.  When the build
+    side is a columnar table scan, the store's cached hash index serves
+    the build and survives across executions of the plan (every iteration
+    of a with+ loop), so only the probe side is paid per execution.
     """
 
     label = "Hash Join"
@@ -85,40 +126,211 @@ class HashJoin(_BinaryJoin):
             raise ValueError(f"bad build_side {build_side!r}")
         self.build_side = build_side
 
-    def rows(self) -> Iterator[Row]:
-        if self.build_side == "right":
-            build, probe = self.right, self.left
-            build_key, probe_key = self._right_key, self._left_key
-        else:
-            build, probe = self.left, self.right
-            build_key, probe_key = self._left_key, self._right_key
-        index: dict[tuple, list[Row]] = {}
-        for row in build.rows():
-            key = build_key(row)
-            if any(v is None for v in key):
-                continue
-            index.setdefault(key, []).append(row)
-        self.build_rows_observed += sum(map(len, index.values()))
-        if self.build_side == "right":
-            for row in probe.rows():
-                key = probe_key(row)
-                if any(v is None for v in key):
-                    continue
-                for match in index.get(key, ()):
-                    yield row + match
-        else:
-            for row in probe.rows():
-                key = probe_key(row)
-                if any(v is None for v in key):
-                    continue
-                for match in index.get(key, ()):
-                    yield match + row
-
     def detail(self) -> str:
         base = super().detail()
         if self.build_side == "left":
             return f"{base}; build left"
         return base
+
+    def block_source(self) -> ColumnBatch | None:
+        """Join output as gather vectors over a position index — no
+        concatenated row tuples are built at all.
+
+        When the build side is a columnar scan, the position index comes
+        from the store's cache and survives across fixpoint iterations;
+        otherwise (the common recursive shape puts the small delta on the
+        build side) an ephemeral index is built from the batch's key
+        column — same O(|build|) as the row path, but probing still pays
+        column-gather prices instead of per-row tuple construction.
+        """
+        if self.build_side == "right":
+            build, probe = self.right, self.left
+            build_positions = self._right_positions
+            probe_positions = self._left_positions
+        else:
+            build, probe = self.left, self.right
+            build_positions = self._left_positions
+            probe_positions = self._right_positions
+        if build_positions is None or probe_positions is None:
+            return None
+        probe_src = batch_source(probe)
+        if probe_src is None:
+            return None
+        scalar = len(build_positions) == 1
+        kind = "scalar-positions" if scalar else "tuple-positions"
+        store = build.columnar_store()
+        probe_store = probe.columnar_store()
+        probe_idx: list[int] = []
+        build_pos: list[int] = []
+        if store is None and probe_store is not None and scalar:
+            # The recursive shape: small per-iteration delta on the
+            # build side, columnar table on the probe side.  The build
+            # keys are almost always unique (a consolidated delta keyed
+            # by vertex), so one dict maps key -> build position, and
+            # ``map(get, probe_keys)`` resolves every probe row in a
+            # single C pass — output lands in the row path's probe-major
+            # order with no sort and no per-probe-row Python iteration.
+            build_src = batch_source(build)
+            if build_src is None:
+                return None
+            build_keys = build_src.column(build_positions[0])
+            if None not in build_keys:
+                # All-C construction: dict(zip(...)) keeps the *last*
+                # position per duplicate key, so a size mismatch both
+                # detects duplicates and (when unique) yields the map.
+                pos_map = dict(zip(build_keys, range(len(build_keys))))
+                unique = len(pos_map) == len(build_keys)
+            else:
+                pos_map = {}
+                unique = True
+                for pos, key in enumerate(build_keys):
+                    if key is None:
+                        continue
+                    if key in pos_map:
+                        unique = False
+                        break
+                    pos_map[key] = pos
+            probe_keys = probe_src.column(probe_positions[0])
+            if unique:
+                self.build_rows_observed += len(pos_map)
+                hits = list(map(pos_map.get, probe_keys))
+                if None not in hits:
+                    probe_idx = None  # identity: all probe rows match
+                    build_pos = hits
+                else:
+                    probe_idx = [i for i, h in enumerate(hits)
+                                 if h is not None]
+                    build_pos = [h for h in hits if h is not None]
+            else:
+                # Duplicate build keys: fall back to bucketed pairs and
+                # restore probe-major order (ties resolve to build-row
+                # order, as dict buckets do) with one C sort.
+                index, _ = probe_store.join_index(probe_positions, kind)
+                observed = len(build_keys) - build_keys.count(None)
+                self.build_rows_observed += observed
+                pairs: list[tuple[int, int]] = []
+                extend = pairs.extend
+                get = index.get
+                for pos, key in enumerate(build_keys):
+                    bucket = get(key)
+                    if bucket is not None:
+                        extend(zip(bucket, repeat(pos)))
+                pairs.sort()
+                probe_idx = [pair[0] for pair in pairs]
+                build_pos = [pair[1] for pair in pairs]
+            return JoinColumns(probe_src, build_src, probe_idx, build_pos,
+                               probe.schema.arity, build.schema.arity,
+                               probe_is_left=(self.build_side == "right"))
+        if store is not None:
+            index, observed = store.join_index(build_positions, kind)
+            build_src: ColumnBatch = StoreColumns(store)
+        else:
+            build_src = batch_source(build)
+            if build_src is None:
+                return None
+            index = {}
+            if scalar:
+                build_keys = build_src.column(build_positions[0])
+            else:
+                build_keys = zip(*(build_src.column(p)
+                                   for p in build_positions))
+            for pos, key in enumerate(build_keys):
+                if (key is None if scalar else None in key):
+                    continue
+                bucket = index.get(key)
+                if bucket is None:
+                    index[key] = [pos]
+                else:
+                    bucket.append(pos)
+            observed = sum(map(len, index.values()))
+        self.build_rows_observed += observed
+        if scalar:
+            keys = probe_src.column(probe_positions[0])
+        else:
+            keys = zip(*(probe_src.column(p) for p in probe_positions))
+        if index:
+            get = index.get
+            extend_pos = build_pos.extend
+            extend_idx = probe_idx.extend
+            for i, key in enumerate(keys):
+                bucket = get(key)
+                if bucket is not None:
+                    extend_pos(bucket)
+                    extend_idx(repeat(i, len(bucket)))
+        return JoinColumns(probe_src, build_src, probe_idx, build_pos,
+                           probe.schema.arity, build.schema.arity,
+                           probe_is_left=(self.build_side == "right"))
+
+    def _cached_index_rows(self) -> list[Row] | None:
+        """Row-output probe against the build store's cached row index
+        (the pipeline-exit twin of :meth:`block_source`)."""
+        if self.build_side == "right":
+            build, probe = self.right, self.left
+            positions = self._right_positions
+            probe_scalar, probe_tuple = self._left_scalar, self._left_key
+        else:
+            build, probe = self.left, self.right
+            positions = self._left_positions
+            probe_scalar, probe_tuple = self._right_scalar, self._right_key
+        store = build.columnar_store()
+        if store is None or positions is None:
+            return None
+        if len(positions) == 1 and probe_scalar is not None:
+            index, observed = store.join_index(positions, "scalar-rows")
+            probe_key = probe_scalar
+        else:
+            index, observed = store.join_index(positions, "tuple-rows")
+            probe_key = probe_tuple
+        self.build_rows_observed += observed
+        out: list[Row] = []
+        if not index:
+            return out
+        extend = out.extend
+        get = index.get
+        if self.build_side == "right":
+            for chunk in chunks(probe):
+                extend([row + match
+                        for key, row in zip(map(probe_key, chunk), chunk)
+                        for match in get(key, ())])
+        else:
+            for chunk in chunks(probe):
+                extend([match + row
+                        for key, row in zip(map(probe_key, chunk), chunk)
+                        for match in get(key, ())])
+        return out
+
+    def _compute(self) -> list[Row]:
+        if block_eligible(self):
+            fast = self._cached_index_rows()
+            if fast is not None:
+                return fast
+        if self.build_side == "right":
+            build, probe = self.right, self.left
+            build_scalar, probe_scalar = self._right_scalar, self._left_scalar
+            build_tuple, probe_tuple = self._right_key, self._left_key
+        else:
+            build, probe = self.left, self.right
+            build_scalar, probe_scalar = self._left_scalar, self._right_scalar
+            build_tuple, probe_tuple = self._left_key, self._right_key
+        index = build_index(materialize(build), build_scalar, build_tuple)
+        probe_key = probe_scalar or probe_tuple
+        self.build_rows_observed += sum(map(len, index.values()))
+        out: list[Row] = []
+        extend = out.extend
+        get = index.get
+        build_is_right = self.build_side == "right"
+        if not index:
+            return out
+        for chunk in chunks(probe):
+            if build_is_right:
+                extend([row + match
+                        for key, row in zip(map(probe_key, chunk), chunk)
+                        for match in get(key, ())])
+            else:
+                extend([match + row
+                        for key, row in zip(map(probe_key, chunk), chunk)
+                        for match in get(key, ())])
+        return out
 
 
 class MergeJoin(_BinaryJoin):
@@ -235,65 +447,89 @@ class NestedLoopJoin(PhysicalOperator):
         return self.condition.sql() if self.condition is not None else "cross"
 
 
-class HashLeftOuterJoin(_BinaryJoin):
+class HashLeftOuterJoin(_HashJoinBase):
     """Left outer equi-join, NULL-padding unmatched left rows."""
 
     label = "Hash Left Join"
 
-    def rows(self) -> Iterator[Row]:
-        index: dict[tuple, list[Row]] = {}
-        right_key = self._right_key
-        for row in self.right.rows():
-            index.setdefault(right_key(row), []).append(row)
+    def _compute(self) -> list[Row]:
+        index = build_index(materialize(self.right), self._right_scalar,
+                            self._right_key)
+        probe_key = self._left_scalar or self._left_key
         self.build_rows_observed += sum(map(len, index.values()))
         pad = (None,) * self.right.schema.arity
-        left_key = self._left_key
-        for row in self.left.rows():
-            key = left_key(row)
-            matches = (index.get(key)
-                       if all(v is not None for v in key) else None)
-            if matches:
-                for match in matches:
-                    yield row + match
-            else:
-                yield row + pad
+        out: list[Row] = []
+        extend = out.extend
+        append = out.append
+        get = index.get
+        for chunk in chunks(self.left):
+            for key, row in zip(map(probe_key, chunk), chunk):
+                matches = get(key)
+                if matches:
+                    extend(row + match for match in matches)
+                else:
+                    append(row + pad)
+        return out
 
 
-class HashFullOuterJoin(_BinaryJoin):
+class HashFullOuterJoin(_HashJoinBase):
     """Full outer equi-join — the paper's preferred union-by-update plan."""
 
     label = "Hash Full Join"
 
-    def rows(self) -> Iterator[Row]:
-        right_rows = list(self.right.rows())
-        index: dict[tuple, list[int]] = {}
-        right_key = self._right_key
-        for pos, row in enumerate(right_rows):
-            key = right_key(row)
-            if all(v is not None for v in key):
-                index.setdefault(key, []).append(pos)
+    def _compute(self) -> list[Row]:
+        right_rows = materialize(self.right)
+        index: dict[Any, list[int]] = {}
+        if self._right_scalar is not None:
+            for pos, key in enumerate(map(self._right_scalar, right_rows)):
+                if key is None:
+                    continue
+                bucket = index.get(key)
+                if bucket is None:
+                    index[key] = [pos]
+                else:
+                    bucket.append(pos)
+            probe_key = self._left_scalar
+        else:
+            for pos, key in enumerate(map(self._right_key, right_rows)):
+                if None in key:
+                    continue
+                bucket = index.get(key)
+                if bucket is None:
+                    index[key] = [pos]
+                else:
+                    bucket.append(pos)
+            probe_key = self._left_key
         self.build_rows_observed += sum(map(len, index.values()))
         matched: set[int] = set()
+        add_matched = matched.add
         pad_right = (None,) * self.right.schema.arity
         pad_left = (None,) * self.left.schema.arity
-        left_key = self._left_key
-        for row in self.left.rows():
-            key = left_key(row)
-            positions = (index.get(key)
-                         if all(v is not None for v in key) else None)
-            if positions:
-                for pos in positions:
-                    matched.add(pos)
-                    yield row + right_rows[pos]
-            else:
-                yield row + pad_right
-        for pos, row in enumerate(right_rows):
-            if pos not in matched:
-                yield pad_left + row
+        out: list[Row] = []
+        append = out.append
+        get = index.get
+        for chunk in chunks(self.left):
+            for key, row in zip(map(probe_key, chunk), chunk):
+                positions = get(key)
+                if positions:
+                    for pos in positions:
+                        add_matched(pos)
+                        append(row + right_rows[pos])
+                else:
+                    append(row + pad_right)
+        if len(matched) < len(right_rows):
+            out.extend(pad_left + row
+                       for pos, row in enumerate(right_rows)
+                       if pos not in matched)
+        return out
 
 
-class HashSemiJoin(_BinaryJoin):
-    """Left rows with at least one right match (EXISTS)."""
+class HashSemiJoin(_HashJoinBase):
+    """Left rows with at least one right match (EXISTS).
+
+    The build set holds no NULL keys, so a NULL probe key misses the
+    ``in`` test and is (correctly) dropped without an explicit check.
+    """
 
     label = "Hash Semi Join"
 
@@ -301,24 +537,25 @@ class HashSemiJoin(_BinaryJoin):
     def schema(self) -> Schema:
         return self.left.schema
 
-    def rows(self) -> Iterator[Row]:
-        # Build-side NULL handling matches HashJoin: a key containing NULL
-        # can never compare equal to anything, so it never enters the set.
-        right_key = self._right_key
-        keys = {key for key in map(right_key, self.right.rows())
-                if None not in key}
-        left_key = self._left_key
-        for row in self.left.rows():
-            key = left_key(row)
-            if None not in key and key in keys:
-                yield row
+    def _compute(self) -> list[Row]:
+        keys = key_set(materialize(self.right),
+                       self._right_scalar, self._right_key)
+        probe_key = self._left_scalar or self._left_key
+        out: list[Row] = []
+        if not keys:
+            return out
+        for chunk in chunks(self.left):
+            out.extend(row for key, row in zip(map(probe_key, chunk), chunk)
+                       if key in keys)
+        return out
 
 
-class HashAntiJoin(_BinaryJoin):
+class HashAntiJoin(_HashJoinBase):
     """Left rows with no right match — NOT EXISTS / LEFT JOIN ... IS NULL.
 
-    EXISTS-style NULL handling: a left row whose key contains NULL never
-    matches anything, so it *survives* the anti-join.
+    A NULL probe key never equals a build key, so it is not ``in`` the
+    (NULL-free) build set and survives — EXISTS-style semantics fall out
+    of the set test with no per-row NULL branch.
     """
 
     label = "Hash Anti Join"
@@ -327,22 +564,20 @@ class HashAntiJoin(_BinaryJoin):
     def schema(self) -> Schema:
         return self.left.schema
 
-    def rows(self) -> Iterator[Row]:
-        # NULL-containing build keys match nothing; skip them like HashJoin.
-        right_key = self._right_key
-        keys = {key for key in map(right_key, self.right.rows())
-                if None not in key}
-        left_key = self._left_key
-        pruned = 0
-        try:
-            for row in self.left.rows():
-                key = left_key(row)
-                if None in key or key not in keys:
-                    yield row
-                else:
-                    pruned += 1
-        finally:
-            self.pruned_total += pruned
+    def _compute(self) -> list[Row]:
+        keys = key_set(materialize(self.right),
+                       self._right_scalar, self._right_key)
+        probe_key = self._left_scalar or self._left_key
+        if not keys:
+            return materialize(self.left)
+        out: list[Row] = []
+        seen = 0
+        for chunk in chunks(self.left):
+            seen += len(chunk)
+            out.extend(row for key, row in zip(map(probe_key, chunk), chunk)
+                       if key not in keys)
+        self.pruned_total += seen - len(out)
+        return out
 
 
 class NotInAntiJoin(_BinaryJoin):
@@ -390,40 +625,28 @@ class NotInAntiJoin(_BinaryJoin):
             self.pruned_total += pruned
 
 
-# -- build-side caching across plan re-executions ------------------------------
+# -- plan-shape predicates for the cost-based policy ---------------------------
 
 
-def stable_input_fingerprint(node: PhysicalOperator) -> tuple | None:
-    """A value identifying the *contents* feeding *node*, or ``None``.
+def is_stable_input(node: PhysicalOperator) -> bool:
+    """True when re-executing *node* reads only stable inputs.
 
-    A subtree is *stable* when re-executing it can only ever produce the
-    same rows: every leaf is either a scan of an immutable, already
-    materialised relation or a table scan (whose statistics version counts
-    mutations), and every interior node is a deterministic row transformer.
-    ``None`` means the subtree's output may change between executions —
-    e.g. it reads a live recursive-loop slot (:class:`BindingScan`).
-
-    The fingerprint changes whenever any underlying table mutates, so a
-    cached hash-join build over it is invalidated exactly when needed.
+    Every leaf is a table scan or a scan of an already materialised
+    relation, and every interior node is a deterministic row transformer.
+    A subtree reading a live recursive-loop slot (:class:`BindingScan`)
+    is not stable: its output changes between executions.
     """
     from .filter import Filter
     from .project import Project
     from .prune import ColumnPrune
     from .rename import Requalify
-    from .scan import BindingScan, IndexOrderedScan, RelationScan, TableScan
+    from .scan import RelationScan, TableScan
 
-    if isinstance(node, (TableScan, IndexOrderedScan)):
-        return (id(node.table), node.table.statistics.version)
-    if isinstance(node, RelationScan):
-        return (id(node.relation),)
-    if isinstance(node, BindingScan):
-        return None
+    if isinstance(node, (TableScan, IndexOrderedScan, RelationScan)):
+        return True
     if isinstance(node, (Filter, Project, ColumnPrune, Requalify)):
-        child = stable_input_fingerprint(node.children()[0])
-        if child is None:
-            return None
-        return (type(node).__name__,) + child
-    return None
+        return is_stable_input(node.children()[0])
+    return False
 
 
 def contains_binding_scan(node: PhysicalOperator) -> bool:
@@ -433,63 +656,3 @@ def contains_binding_scan(node: PhysicalOperator) -> bool:
     if isinstance(node, BindingScan):
         return True
     return any(contains_binding_scan(c) for c in node.children())
-
-
-class CachedBuildHashJoin(HashJoin):
-    """Hash join that reuses its build-side hash table across executions.
-
-    Inside the recursive loop a cached branch plan re-executes once per
-    iteration; when the build side reads only stable inputs (base tables,
-    materialised relations) rebuilding its hash table every iteration is
-    pure waste.  This operator fingerprints the build subtree's contents
-    (table identity + statistics version) and rebuilds only when the
-    fingerprint changes, turning each later iteration into a probe-only
-    pass over the (usually much smaller) delta side.
-    """
-
-    def __init__(self, left, right, left_keys, right_keys,
-                 build_side: str = "right"):
-        super().__init__(left, right, left_keys, right_keys, build_side)
-        self._cached_fingerprint: tuple | None = None
-        self._cached_index: dict[tuple, list[Row]] | None = None
-
-    def _build_index(self) -> dict[tuple, list[Row]]:
-        build = self.right if self.build_side == "right" else self.left
-        build_key = (self._right_key if self.build_side == "right"
-                     else self._left_key)
-        fingerprint = stable_input_fingerprint(build)
-        if (self._cached_index is not None and fingerprint is not None
-                and fingerprint == self._cached_fingerprint):
-            return self._cached_index
-        index: dict[tuple, list[Row]] = {}
-        for row in build.rows():
-            key = build_key(row)
-            if any(v is None for v in key):
-                continue
-            index.setdefault(key, []).append(row)
-        self.build_rows_observed += sum(map(len, index.values()))
-        self._cached_fingerprint = fingerprint
-        self._cached_index = index if fingerprint is not None else None
-        return index
-
-    def rows(self) -> Iterator[Row]:
-        index = self._build_index()
-        if self.build_side == "right":
-            probe, probe_key = self.left, self._left_key
-            for row in probe.rows():
-                key = probe_key(row)
-                if any(v is None for v in key):
-                    continue
-                for match in index.get(key, ()):
-                    yield row + match
-        else:
-            probe, probe_key = self.right, self._right_key
-            for row in probe.rows():
-                key = probe_key(row)
-                if any(v is None for v in key):
-                    continue
-                for match in index.get(key, ()):
-                    yield match + row
-
-    def detail(self) -> str:
-        return f"{super().detail()}; cached build"

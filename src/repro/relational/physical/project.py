@@ -2,17 +2,27 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ..expressions import BoundColumn, Expression, bind, compile_key_function
 from ..relation import Row
 from ..schema import Column, Schema
 from ..types import SqlType
 from .base import PhysicalOperator
+from .batch import (
+    REPLAYED_ERRORS,
+    ListOperator,
+    batch_source,
+    block_eligible,
+    materialize,
+)
+from .blocks import DerivedColumns, compile_vector
 
 
-class Project(PhysicalOperator):
-    """Evaluates ``(expression, alias)`` pairs per input row."""
+class Project(ListOperator):
+    """Evaluates ``(expression, alias)`` pairs per input row: one
+    list-comprehension pass with the compiled row-builder, or derived
+    column vectors in a block pipeline."""
 
     label = "Project"
 
@@ -39,8 +49,26 @@ class Project(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Row]:
-        return map(self._builder, self.child.rows())
+    def block_source(self):
+        vectors = [compile_vector(bound) for bound, _ in self.items]
+        if any(v is None for v in vectors):
+            return None
+        child = batch_source(self.child)
+        if child is None:
+            return None
+        return DerivedColumns(
+            child.length,
+            [(lambda v=v: v(child)) for v in vectors])
+
+    def _compute(self) -> list[Row]:
+        if block_eligible(self):
+            try:
+                source = batch_source(self)
+                if source is not None:
+                    return source.rows()
+            except REPLAYED_ERRORS:
+                pass  # replay through the row path for the exact error
+        return list(map(self._builder, materialize(self.child)))
 
     def detail(self) -> str:
         return ", ".join(f"{bound.sql()} AS {alias}"

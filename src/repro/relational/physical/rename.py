@@ -7,6 +7,7 @@ from typing import Iterator, Sequence
 from ..relation import Row
 from ..schema import Schema
 from .base import PhysicalOperator
+from .batch import batch_source
 
 
 class Requalify(PhysicalOperator):
@@ -28,6 +29,10 @@ class Requalify(PhysicalOperator):
 
     def rows(self) -> Iterator[Row]:
         return self.child.rows()
+
+    def block_source(self):
+        # Pure rename (ρ): rows pass through untouched.
+        return batch_source(self.child)
 
     def detail(self) -> str:
         return self.alias

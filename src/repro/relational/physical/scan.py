@@ -10,6 +10,7 @@ from ..relation import Relation, Row
 from ..schema import Schema
 from ..table import Table
 from .base import PhysicalOperator
+from .blocks import RowsColumns, StoreColumns
 
 
 class TableScan(PhysicalOperator):
@@ -28,6 +29,16 @@ class TableScan(PhysicalOperator):
 
     def rows(self) -> Iterator[Row]:
         return iter(list(self.table.rows))
+
+    def columnar_store(self):
+        store = self.table.rows
+        if getattr(store, "storage", "rows") == "columnar":
+            return store
+        return None
+
+    def block_source(self):
+        store = self.columnar_store()
+        return StoreColumns(store) if store is not None else None
 
     def detail(self) -> str:
         if self.alias != self.table.name:
@@ -52,6 +63,9 @@ class RelationScan(PhysicalOperator):
 
     def rows(self) -> Iterator[Row]:
         return iter(self.relation.rows)
+
+    def block_source(self):
+        return RowsColumns(list(self.rows()), self._schema.arity)
 
     def detail(self) -> str:
         return self.alias or ""
@@ -89,6 +103,9 @@ class BindingScan(PhysicalOperator):
             raise ExecutionError(
                 f"slot {self.name!r} changed arity; cached plan is stale")
         return iter(relation.rows)
+
+    def block_source(self):
+        return RowsColumns(list(self.rows()), self._schema.arity)
 
     def detail(self) -> str:
         return self.alias or self.name

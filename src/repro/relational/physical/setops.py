@@ -8,6 +8,8 @@ from ..errors import SchemaError
 from ..relation import Row
 from ..schema import Schema
 from .base import PhysicalOperator
+from .batch import ListOperator, batch_source, materialize
+from .blocks import ConcatColumns
 
 
 class _SetOp(PhysicalOperator):
@@ -27,12 +29,23 @@ class _SetOp(PhysicalOperator):
         return (self.left, self.right)
 
 
-class UnionAllOp(_SetOp):
+class UnionAllOp(_SetOp, ListOperator):
+    """Concatenates the materialised inputs in one list operation, or
+    the two column batches in a block pipeline."""
+
     label = "Union All"
 
-    def rows(self) -> Iterator[Row]:
-        yield from self.left.rows()
-        yield from self.right.rows()
+    def block_source(self):
+        left = batch_source(self.left)
+        if left is None:
+            return None
+        right = batch_source(self.right)
+        if right is None:
+            return None
+        return ConcatColumns(left, right)
+
+    def _compute(self) -> list[Row]:
+        return materialize(self.left) + materialize(self.right)
 
 
 class UnionDistinctOp(_SetOp):

@@ -21,15 +21,6 @@ from typing import Sequence
 
 from .expressions import ColumnRef, Expression
 from .physical import (
-    BatchFilter,
-    BatchHashAggregate,
-    BatchHashAntiJoin,
-    BatchHashFullOuterJoin,
-    BatchHashJoin,
-    BatchHashLeftOuterJoin,
-    BatchHashSemiJoin,
-    BatchProject,
-    BatchUnionAll,
     Filter,
     HashAggregate,
     HashAntiJoin,
@@ -48,38 +39,6 @@ from .physical import (
 )
 from .relation import AggregateSpec
 
-#: Hash-family operator classes per executor.  Batch twins share labels
-#: with their tuple counterparts, so EXPLAIN output is executor-agnostic;
-#: MergeJoin / SortAggregate / NotInAntiJoin model dialect costs and stay
-#: tuple-at-a-time under either executor.
-_OPERATOR_SETS: dict[str, dict[str, type]] = {
-    "tuple": {
-        "equi": HashJoin,
-        "left": HashLeftOuterJoin,
-        "full": HashFullOuterJoin,
-        "semi": HashSemiJoin,
-        "anti": HashAntiJoin,
-        "hash_agg": HashAggregate,
-        "project": Project,
-        "filter": Filter,
-        "union_all": UnionAllOp,
-    },
-    "batch": {
-        "equi": BatchHashJoin,
-        "left": BatchHashLeftOuterJoin,
-        "full": BatchHashFullOuterJoin,
-        "semi": BatchHashSemiJoin,
-        "anti": BatchHashAntiJoin,
-        "hash_agg": BatchHashAggregate,
-        "project": BatchProject,
-        "filter": BatchFilter,
-        "union_all": BatchUnionAll,
-    },
-}
-
-EXECUTORS = tuple(_OPERATOR_SETS)
-
-
 class PlannerPolicy:
     """Choice points the compiler delegates to."""
 
@@ -87,13 +46,6 @@ class PlannerPolicy:
     #: A :class:`repro.observability.MetricsRegistry` when the owning
     #: engine attached one; policies count their operator choices there.
     metrics = None
-
-    def __init__(self, executor: str = "tuple"):
-        if executor not in _OPERATOR_SETS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {EXECUTORS}")
-        self.executor = executor
-        self._ops = _OPERATOR_SETS[executor]
 
     def _count_join(self, join: PhysicalOperator) -> PhysicalOperator:
         """Record which join operator this policy chose (plan-time only —
@@ -111,32 +63,32 @@ class PlannerPolicy:
         raise NotImplementedError
 
     def make_left_outer_join(self, left, right, left_keys, right_keys):
-        return self._ops["left"](left, right, left_keys, right_keys)
+        return HashLeftOuterJoin(left, right, left_keys, right_keys)
 
     def make_full_outer_join(self, left, right, left_keys, right_keys):
-        return self._ops["full"](left, right, left_keys, right_keys)
+        return HashFullOuterJoin(left, right, left_keys, right_keys)
 
     def make_semi_join(self, left, right, left_keys, right_keys):
-        return self._ops["semi"](left, right, left_keys, right_keys)
+        return HashSemiJoin(left, right, left_keys, right_keys)
 
     def make_anti_join(self, left, right, left_keys, right_keys):
         """NOT EXISTS / LEFT JOIN ... IS NULL plan."""
-        return self._ops["anti"](left, right, left_keys, right_keys)
+        return HashAntiJoin(left, right, left_keys, right_keys)
 
     def make_not_in_anti_join(self, left, right, left_keys, right_keys):
         """NOT IN plan, with its NULL-aware bookkeeping."""
         return NotInAntiJoin(left, right, left_keys, right_keys)
 
     def make_project(self, child: PhysicalOperator, items) -> PhysicalOperator:
-        return self._ops["project"](child, items)
+        return Project(child, items)
 
     def make_filter(self, child: PhysicalOperator,
                     predicate: Expression) -> PhysicalOperator:
-        return self._ops["filter"](child, predicate)
+        return Filter(child, predicate)
 
     def make_union_all(self, left: PhysicalOperator,
                        right: PhysicalOperator) -> PhysicalOperator:
-        return self._ops["union_all"](left, right)
+        return UnionAllOp(left, right)
 
     def make_aggregate(self, child: PhysicalOperator,
                        keys: Sequence[Expression],
@@ -168,14 +120,14 @@ def _estimate_rows(node: PhysicalOperator) -> int | None:
     return None
 
 
-def _stats_aware_hash_join(join_cls, left, right, left_keys, right_keys):
+def _stats_aware_hash_join(left, right, left_keys, right_keys):
     left_size = _estimate_rows(left)
     right_size = _estimate_rows(right)
     build_side = "right"
     if left_size is not None and right_size is not None \
             and left_size < right_size:
         build_side = "left"
-    return join_cls(left, right, left_keys, right_keys, build_side)
+    return HashJoin(left, right, left_keys, right_keys, build_side)
 
 
 class HashFirstPolicy(PlannerPolicy):
@@ -186,10 +138,10 @@ class HashFirstPolicy(PlannerPolicy):
 
     def make_equi_join(self, left, right, left_keys, right_keys):
         return self._count_join(_stats_aware_hash_join(
-            self._ops["equi"], left, right, left_keys, right_keys))
+            left, right, left_keys, right_keys))
 
     def make_aggregate(self, child, keys, aggregates, key_aliases):
-        return self._ops["hash_agg"](child, keys, aggregates, key_aliases)
+        return HashAggregate(child, keys, aggregates, key_aliases)
 
 
 class HashJoinSortAggPolicy(PlannerPolicy):
@@ -207,10 +159,10 @@ class HashJoinSortAggPolicy(PlannerPolicy):
 
     def make_equi_join(self, left, right, left_keys, right_keys):
         return self._count_join(
-            self._ops["equi"](left, right, left_keys, right_keys))
+            HashJoin(left, right, left_keys, right_keys))
 
     def make_aggregate(self, child, keys, aggregates, key_aliases):
-        # Sort aggregation is this profile's cost model; no batch twin.
+        # Sort aggregation is this profile's cost model.
         return SortAggregate(child, keys, aggregates, key_aliases)
 
 
@@ -230,14 +182,14 @@ class MergeJoinPolicy(PlannerPolicy):
     def make_equi_join(self, left, right, left_keys, right_keys):
         if self._both_sides_analyzed(left, right):
             return self._count_join(
-                self._ops["equi"](left, right, left_keys, right_keys))
+                HashJoin(left, right, left_keys, right_keys))
         left = self._try_index_feed(left, left_keys)
         right = self._try_index_feed(right, right_keys)
         return self._count_join(
             MergeJoin(left, right, left_keys, right_keys))
 
     def make_aggregate(self, child, keys, aggregates, key_aliases):
-        return self._ops["hash_agg"](child, keys, aggregates, key_aliases)
+        return HashAggregate(child, keys, aggregates, key_aliases)
 
     @staticmethod
     def _both_sides_analyzed(left: PhysicalOperator,
@@ -279,11 +231,11 @@ class CostBasedPolicy(PlannerPolicy):
     this policy picks operators from estimated costs
     (:mod:`repro.relational.optimizer`):
 
-    * hash join with the cheaper side as build, upgraded to a
-      :class:`~repro.relational.physical.CachedBuildHashJoin` when the
-      build input is stable across re-executions — inside a with+ loop
-      the stable base table's hash is built once and only the delta is
-      probed each iteration;
+    * hash join with the cheaper side as build — except in the with+
+      branch shape (a loop-bound delta joined to a stable input), where
+      the stable side builds: over columnar storage its hash index is
+      the store's cached ``join_index``, built once and reused by every
+      iteration, so only the delta is probed;
     * merge join only when both inputs arrive presorted through a sorted
       index and neither side re-executes against loop bindings;
     * hash aggregation throughout.
@@ -306,40 +258,23 @@ class CostBasedPolicy(PlannerPolicy):
     #: this much; otherwise building a hash on the small side wins.
     MERGE_BALANCE = 0.25
 
-    #: Aggregations estimated to consume at least this many rows run on
-    #: the vectorized batch kernel even under the tuple executor (the
-    #: row-mode vs batch-mode operator decision); below it the kernel's
-    #: materialisation overhead is not worth amortising.
-    BATCH_AGG_THRESHOLD = 256
-
-    #: Block-aware overrides, keyed by the catalog's storage backend.
-    #: Columnar tables feed the batch kernels whole column vectors with
-    #: no tuple materialisation, so the batch aggregate amortises sooner;
-    #: and a merge join must decode sealed blocks into sorted row tuples
-    #: while a hash join reads the key column straight out of the store,
-    #: so merge needs a much more balanced pair of inputs to win.
+    #: Block-aware override, keyed by the catalog's storage backend: a
+    #: merge join must decode sealed blocks into sorted row tuples while
+    #: a hash join reads the key column straight out of the store, so
+    #: merge needs a much more balanced pair of inputs to win.
     STORAGE_MERGE_BALANCE = {"columnar": 0.5}
-    STORAGE_BATCH_AGG_THRESHOLD = {"columnar": 64}
 
-    def __init__(self, executor: str = "tuple", replan_factor: float = 8.0,
-                 storage: str = "rows"):
-        super().__init__(executor)
+    def __init__(self, replan_factor: float = 8.0, storage: str = "rows"):
         from .optimizer import CardinalityEstimator
 
         self.replan_factor = replan_factor
         self.storage = storage
         self.MERGE_BALANCE = self.STORAGE_MERGE_BALANCE.get(
             storage, type(self).MERGE_BALANCE)
-        self.BATCH_AGG_THRESHOLD = self.STORAGE_BATCH_AGG_THRESHOLD.get(
-            storage, type(self).BATCH_AGG_THRESHOLD)
         self.estimator = CardinalityEstimator(refresh=True)
 
     def make_equi_join(self, left, right, left_keys, right_keys):
-        from .physical import (
-            CachedBuildHashJoin,
-            contains_binding_scan,
-            stable_input_fingerprint,
-        )
+        from .physical import contains_binding_scan, is_stable_input
 
         left_rows = self.estimator.annotate(left)
         right_rows = self.estimator.annotate(right)
@@ -350,25 +285,19 @@ class CostBasedPolicy(PlannerPolicy):
                                           left_rows, right_rows)
             if merged is not None:
                 return self._count_join(merged)
-        stable_left = stable_input_fingerprint(left) is not None
-        stable_right = stable_input_fingerprint(right) is not None
+        stable_left = is_stable_input(left)
+        stable_right = is_stable_input(right)
         if stable_right and rescanned_left and not rescanned_right:
             # The classic with+ branch shape: delta ⋈ stable base table.
-            # Build on the stable side regardless of size — the build is
-            # paid once and amortised over every loop iteration.
+            # Build on the stable side regardless of size — over columnar
+            # storage a table scan's build is the store's cached index,
+            # paid once across iterations.
             build_side = "right"
         elif stable_left and rescanned_right and not rescanned_left:
             build_side = "left"
         else:
             build_side = "left" if left_rows <= right_rows else "right"
-        build_stable = stable_left if build_side == "left" else stable_right
-        rescanned = rescanned_left or rescanned_right
-        if build_stable and (self.executor == "tuple" or rescanned):
-            join = CachedBuildHashJoin(left, right, left_keys, right_keys,
-                                       build_side)
-        else:
-            join = self._ops["equi"](left, right, left_keys, right_keys,
-                                     build_side)
+        join = HashJoin(left, right, left_keys, right_keys, build_side)
         self.estimator.annotate(join)
         return self._count_join(join)
 
@@ -394,9 +323,8 @@ class CostBasedPolicy(PlannerPolicy):
         return join
 
     def make_aggregate(self, child, keys, aggregates, key_aliases):
-        if self.estimator.annotate(child) >= self.BATCH_AGG_THRESHOLD:
-            return BatchHashAggregate(child, keys, aggregates, key_aliases)
-        return self._ops["hash_agg"](child, keys, aggregates, key_aliases)
+        self.estimator.annotate(child)
+        return HashAggregate(child, keys, aggregates, key_aliases)
 
 
 POLICIES: dict[str, type[PlannerPolicy]] = {

@@ -53,10 +53,11 @@ class AggregateSpec:
 def require_numeric(function: str, value: Any) -> None:
     """SUM/AVG are defined over numeric arguments only.
 
-    Both executors call this on the same boundary (the first non-NULL
-    value a group accumulates), so a ``sum`` over a TEXT column raises the
-    same :class:`ExecutionError` everywhere instead of one path raising a
-    bare ``TypeError`` while the other silently concatenates strings.
+    Every aggregation path calls this on the same boundary (the first
+    non-NULL value a group accumulates), so a ``sum`` over a TEXT column
+    raises the same :class:`ExecutionError` everywhere instead of one path
+    raising a bare ``TypeError`` while another silently concatenates
+    strings.
     """
     if value is not None and not isinstance(value, (int, float)):
         raise ExecutionError(
@@ -128,7 +129,7 @@ class Relation:
                           rows: Sequence[Row]) -> "Relation":
         """Construct without per-row validation.
 
-        The batch executor's kernels emit lists of already-correct tuples;
+        The batch operators emit lists of already-correct tuples;
         re-walking them in ``__init__`` would cost a Python-level loop per
         row.  Callers guarantee every element is a tuple of the right arity.
         """

@@ -72,11 +72,19 @@ from .tokens import Token, TokenKind
 
 _COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
 
+#: Deepest nesting the parser accepts.  Every statement or subquery,
+#: parenthesised expression, NOT, unary sign and chained binary operator
+#: opens one level.  Parsing, planning and evaluation recurse at least
+#: once per level, so input nested past this depth would exhaust
+#: Python's recursion limit; it raises ParseError instead.
+MAX_NESTING_DEPTH = 64
+
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     # -- token helpers -----------------------------------------------------
 
@@ -129,6 +137,13 @@ class _Parser:
         self.advance()
         return token.text
 
+    def enter(self) -> None:
+        """Open one nesting level (callers close it with ``depth -= 1``;
+        an error abandons the parse, so no level needs closing then)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING_DEPTH:
+            self.error(f"nesting deeper than {MAX_NESTING_DEPTH} levels")
+
     def error(self, message: str) -> None:
         token = self.current
         raise ParseError(f"{message}, got {token.text or '<eof>'!r}",
@@ -137,11 +152,15 @@ class _Parser:
     # -- statements -----------------------------------------------------------
 
     def parse_statement(self) -> Statement:
+        self.enter()
         if self.current.is_keyword("with"):
-            return self.parse_with()
-        if self.current.is_keyword("analyze"):
-            return self.parse_analyze()
-        return self.parse_set_expression()
+            statement = self.parse_with()
+        elif self.current.is_keyword("analyze"):
+            statement = self.parse_analyze()
+        else:
+            statement = self.parse_set_expression()
+        self.depth -= 1
+        return statement
 
     def parse_analyze(self) -> AnalyzeStatement:
         self.expect_keyword("analyze")
@@ -443,7 +462,10 @@ class _Parser:
     # -- expressions --------------------------------------------------------------
 
     def parse_expression(self) -> Expression:
-        return self.parse_or()
+        self.enter()
+        expression = self.parse_or()
+        self.depth -= 1
+        return expression
 
     def parse_or(self) -> Expression:
         operands = [self.parse_and()]
@@ -465,7 +487,10 @@ class _Parser:
         if self.current.is_keyword("not") and not self.peek().is_keyword(
                 "in", "exists", "like", "between"):
             self.advance()
-            return Not(self.parse_not())
+            self.enter()
+            operand = self.parse_not()
+            self.depth -= 1
+            return Not(operand)
         return self.parse_comparison()
 
     def parse_comparison(self) -> Expression:
@@ -520,28 +545,37 @@ class _Parser:
         return InList(operand, tuple(items), negated)
 
     def parse_additive(self) -> Expression:
+        # Each chained operator nests the left operand one level deeper.
         left = self.parse_multiplicative()
+        opened = self.depth
         while True:
             operator = self.accept_operator("+", "-", "||")
             if not operator:
+                self.depth = opened
                 return left
+            self.enter()
             right = self.parse_multiplicative()
             left = BinaryOp(operator, left, right)
 
     def parse_multiplicative(self) -> Expression:
         left = self.parse_unary()
+        opened = self.depth
         while True:
             operator = self.accept_operator("*", "/", "%")
             if not operator:
+                self.depth = opened
                 return left
+            self.enter()
             right = self.parse_unary()
             left = BinaryOp(operator, left, right)
 
     def parse_unary(self) -> Expression:
-        if self.accept_operator("-"):
-            return Negate(self.parse_unary())
-        if self.accept_operator("+"):
-            return self.parse_unary()
+        for sign in ("-", "+"):
+            if self.accept_operator(sign):
+                self.enter()
+                operand = self.parse_unary()
+                self.depth -= 1
+                return Negate(operand) if sign == "-" else operand
         return self.parse_primary()
 
     def parse_primary(self) -> Expression:

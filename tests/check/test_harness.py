@@ -19,7 +19,8 @@ from repro.check.ir import (
 )
 from repro.check.oracles import default_matrix, relevant_matrix
 from repro.check.runner import DifferentialRunner
-from repro.relational.physical import batch as batch_module
+from repro.relational.physical import HashAggregate, HashJoin
+from repro.relational.physical.blocks import FilteredColumns
 
 T0 = TableIR("T0", (("k0", "int"), ("c0", "int")),
              ((1, 10), (2, 20), (2, 21), (3, None)))
@@ -57,35 +58,35 @@ def test_healthy_engine_passes_all_oracles():
 
 
 def test_injected_join_fault_is_caught(monkeypatch):
-    """Drop one row from the batch hash join only: tuple and batch
-    executors now answer differently and the matrix oracle must fire."""
-    original = batch_module.BatchHashJoin._compute
+    """Drop one row from the hash join's columnar block path only: row
+    and columnar storage now answer differently and the matrix oracle
+    must fire."""
+    original = HashJoin.block_source
 
     def lossy(self):
-        rows = original(self)
-        return rows[:-1]
+        source = original(self)
+        if not source:
+            return source
+        return FilteredColumns(source, list(range(source.length - 1)))
 
-    monkeypatch.setattr(batch_module.BatchHashJoin, "_compute", lossy)
+    monkeypatch.setattr(HashJoin, "block_source", lossy)
     divergence = DifferentialRunner().check(JOIN_SCENARIO)
     assert divergence is not None
     assert divergence.oracle == "matrix"
-    assert "batch" in divergence.detail
+    assert "columnar" in divergence.detail
 
 
 def test_injected_aggregate_fault_is_caught(monkeypatch):
-    """Off-by-one in the batch count aggregate: caught by the matrix."""
-    original = batch_module.BatchHashAggregate._compute_single
+    """Off-by-one in the columnar count kernel: caught by the matrix."""
+    original = HashAggregate._block_single
 
-    def off_by_one(self, function, arg):
-        rows = original(self, function, arg)
-        if function == "count":
-            rows = [(key_count[0], key_count[1] + 1)
-                    if len(key_count) == 2 else key_count
-                    for key_count in rows]
+    def off_by_one(self, function):
+        rows = original(self, function)
+        if rows is not None and function == "count":
+            rows = [(key, count + 1) for key, count in rows]
         return rows
 
-    monkeypatch.setattr(batch_module.BatchHashAggregate,
-                        "_compute_single", off_by_one)
+    monkeypatch.setattr(HashAggregate, "_block_single", off_by_one)
     divergence = DifferentialRunner().check(AGG_SCENARIO)
     assert divergence is not None
     assert divergence.oracle == "matrix"
@@ -98,19 +99,18 @@ def test_injected_crash_is_caught(monkeypatch):
     def boom(self):
         raise RuntimeError("synthetic operator failure")
 
-    monkeypatch.setattr(batch_module.BatchHashJoin, "_compute", boom)
+    monkeypatch.setattr(HashJoin, "_compute", boom)
     runner = DifferentialRunner()
     divergence = runner.check(JOIN_SCENARIO)
     assert divergence is not None
     assert divergence.oracle in ("matrix", "crash")
 
 
-def test_matrix_covers_every_strategy_and_executor():
+def test_matrix_covers_every_strategy_and_setting():
     matrix = default_matrix()
-    assert len(matrix) == 96
+    assert len(matrix) == 48
     assert {c.strategy for c in matrix} == {
         "merge", "full_outer_join", "update_from", "drop_alter"}
-    assert {c.executor for c in matrix} == {"tuple", "batch"}
     assert {c.optimizer for c in matrix} == {"off", "cost"}
     assert {c.telemetry for c in matrix} == {"off", "on"}
     assert {c.storage for c in matrix} == {"rows", "columnar"}
@@ -121,5 +121,5 @@ def test_matrix_covers_every_strategy_and_executor():
     # Plain selects collapse the strategy axis...
     reduced = relevant_matrix(JOIN_SCENARIO, matrix)
     assert len(reduced) < len(matrix)
-    # ...recursive scenarios keep all 96 cells.
+    # ...recursive scenarios keep all 48 cells.
     assert relevant_matrix(UBU_SCENARIO, matrix) == matrix

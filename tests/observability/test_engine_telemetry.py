@@ -216,18 +216,16 @@ class TestQueryLogAndMetrics:
         assert roots
         assert all(span.attrs["storage"] == storage for span in roots)
 
-    @pytest.mark.parametrize("executor,optimizer",
-                             [("batch", "off"), ("tuple", "cost")])
+    @pytest.mark.parametrize("optimizer", ["off", "cost"])
     def test_engine_configuration_labels_entries_and_span_roots(
-            self, executor, optimizer):
-        engine = make_engine(telemetry="on", executor=executor,
-                             optimizer=optimizer)
+            self, optimizer):
+        engine = make_engine(telemetry="on", optimizer=optimizer)
         engine.execute("select count(*) as n from E")
         engine.execute_detailed(RECURSIVE_SQL)
         with pytest.raises(Exception):
             engine.execute("select no_such_column from E")
-        labels = {"executor": executor, "optimizer": optimizer,
-                  "storage": engine.storage, "parallel": 0}
+        labels = {"optimizer": optimizer, "storage": engine.storage,
+                  "parallel": 0}
         entries = engine.query_log.entries()
         assert [e.kind for e in entries] == ["select", "recursive", "error"]
         for entry in entries:
@@ -238,7 +236,7 @@ class TestQueryLogAndMetrics:
         for span in roots[:2]:
             assert {k: span.attrs[k] for k in labels} == labels
         assert all(roots[2].attrs[k] == labels[k]
-                   for k in ("executor", "optimizer", "storage"))
+                   for k in ("optimizer", "storage"))
 
     def test_failed_statement_logged_with_error_kind(self):
         engine = make_engine()
@@ -298,14 +296,14 @@ class TestTelemetryIdentity:
         assert off.values == on.values
         assert off.iterations == on.iterations
 
-    @pytest.mark.parametrize("executor", ["tuple", "batch"])
-    def test_executors_identical_with_tracing_on(self, executor):
+    @pytest.mark.parametrize("storage", ["rows", "columnar"])
+    def test_storages_identical_with_tracing_on(self, storage):
         graph = preferential_attachment(120, 3, seed=3)
         info = ALGORITHMS["PR"]
         kwargs = dict(info.bench_kwargs or {})
-        off = info.run_sql(Engine("oracle", executor=executor), graph,
+        off = info.run_sql(Engine("oracle", storage=storage), graph,
                            **kwargs)
-        on = info.run_sql(Engine("oracle", executor=executor,
+        on = info.run_sql(Engine("oracle", storage=storage,
                                  telemetry="on"), graph, **kwargs)
         assert off.values == on.values
         assert off.iterations == on.iterations

@@ -79,7 +79,7 @@ class TestBundleSchema:
         assert bundle["reason"] == "slow"
         assert bundle["kind"] == "recursive"
         assert set(bundle["engine"]) == {
-            "dialect", "mode", "executor", "optimizer", "storage",
+            "dialect", "mode", "optimizer", "storage",
             "union_by_update_strategy"}
         assert bundle["error"] is None
         assert bundle["query"]["iterations"] > 0
@@ -134,6 +134,20 @@ class TestReplay:
         engine.execute_detailed(RECURSIVE_SQL)
         (path,) = engine.telemetry.flight.bundles()
         outcome = replay_bundle(path)
+        assert outcome.reproduced
+
+    def test_bundle_recording_an_executor_still_replays(self, tmp_path):
+        """Bundles captured while the engine still had an ``executor``
+        knob carry ``engine.executor``; replay ignores the key."""
+        engine = make_engine(tmp_path)
+        engine.execute_detailed(RECURSIVE_SQL)
+        (path,) = engine.telemetry.flight.bundles()
+        bundle = json.loads(open(path).read())
+        bundle["engine"]["executor"] = "tuple"
+        with open(path, "w") as handle:
+            json.dump(bundle, handle)
+        outcome = replay_bundle(path)
+        assert outcome.outcome == "result"
         assert outcome.reproduced
 
     def test_tampered_data_diverges(self, tmp_path):

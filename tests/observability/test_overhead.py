@@ -2,7 +2,7 @@
 
 The always-on half of the telemetry (phase timings, query log, counters)
 must be nearly free — on every engine configuration, not just the
-default one, so the guard runs the matrix of storage backend × executor.
+default one, so the guard runs on both storage backends.
 The baseline stubs the engine's accounting entry points to no-ops — the
 execution pipeline is untouched either way, so the measured gap is
 exactly the always-on bookkeeping.  Best-of-N interleaved runs keep
@@ -28,8 +28,8 @@ from repro.relational.engine import Engine as EngineClass
 ROUNDS = 5
 
 
-def _time_run(graph, storage: str, executor: str) -> float:
-    engine = Engine("oracle", storage=storage, executor=executor)
+def _time_run(graph, storage: str) -> float:
+    engine = Engine("oracle", storage=storage)
     engine.load_graph(graph)
     gc.collect()
     gc.disable()
@@ -41,30 +41,28 @@ def _time_run(graph, storage: str, executor: str) -> float:
         gc.enable()
 
 
-@pytest.mark.parametrize("executor", ["tuple", "batch"])
 @pytest.mark.parametrize("storage", ["rows", "columnar"])
-def test_disabled_telemetry_overhead_under_5_percent(
-        monkeypatch, storage, executor):
+def test_disabled_telemetry_overhead_under_5_percent(monkeypatch, storage):
     graph = preferential_attachment(150, 3, directed=True, seed=7)
-    _time_run(graph, storage, executor)  # warm-up: imports, caches
+    _time_run(graph, storage)  # warm-up: imports, caches
 
     with_accounting = float("inf")
     without_accounting = float("inf")
     for _ in range(ROUNDS):
         with_accounting = min(with_accounting,
-                              _time_run(graph, storage, executor))
+                              _time_run(graph, storage))
         with monkeypatch.context() as patch:
             patch.setattr(EngineClass, "_record_query",
                           lambda self, *args, **kwargs: None)
             patch.setattr(EngineClass, "_publish_iterations",
                           lambda self, result: None)
             without_accounting = min(
-                without_accounting, _time_run(graph, storage, executor))
+                without_accounting, _time_run(graph, storage))
 
     assert with_accounting <= without_accounting * 1.05 + 0.005, (
         f"always-on telemetry cost {with_accounting * 1000:.2f} ms vs"
         f" {without_accounting * 1000:.2f} ms baseline"
-        f" (storage={storage}, executor={executor})")
+        f" (storage={storage})")
 
 
 def test_disabled_profiler_skips_plan_instrumentation():

@@ -197,14 +197,11 @@ class TestProfileStore:
 
 
 class TestIdentityGuard:
-    @pytest.mark.parametrize("executor", ["tuple", "batch"])
     @pytest.mark.parametrize("storage", ["rows", "columnar"])
-    def test_results_identical_with_profiling_on_and_off(
-            self, executor, storage):
+    def test_results_identical_with_profiling_on_and_off(self, storage):
         results = {}
         for telemetry in ("off", "profile"):
-            engine = make_engine(telemetry=telemetry, executor=executor,
-                                 storage=storage)
+            engine = make_engine(telemetry=telemetry, storage=storage)
             result = engine.execute_detailed(RECURSIVE_SQL)
             results[telemetry] = (tuple(result.relation.rows),
                                   result.iterations)

@@ -60,11 +60,10 @@ class TestQueryLog:
         data = entry.to_dict()
         assert data["storage"] == "columnar"
         assert data["error"] == "SchemaError"
-        # Defaults: the engine's defaults (batch over columnar, optimizer
+        # Defaults: the engine's defaults (columnar storage, optimizer
         # off), no error.
         plain = log.record("select 1", "select", 1.0).to_dict()
         assert plain["storage"] == "columnar" and plain["error"] is None
-        assert plain["executor"] == "batch"
         assert plain["optimizer"] == "off"
 
 

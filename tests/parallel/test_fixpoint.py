@@ -33,10 +33,9 @@ def _graph(seed=7, nodes=60, edges=240):
     return edge_rows, node_ids
 
 
-def _engine(parallel, executor="tuple", storage=None, dialect="oracle"):
+def _engine(parallel, storage=None, dialect="oracle"):
     edge_rows, node_ids = _graph()
-    engine = Engine(dialect, executor=executor, storage=storage,
-                    parallel=parallel)
+    engine = Engine(dialect, storage=storage, parallel=parallel)
     engine.database.load_edge_table(
         "E", [(u, v, 1.0) for u, v in edge_rows])
     engine.database.load_node_table("V", [(n, 1.0) for n in node_ids])
@@ -76,14 +75,12 @@ SSSP = """with D(ID, dist) as (
 
 
 @pytest.mark.parametrize("nworkers", [2, 4])
-@pytest.mark.parametrize("executor,storage", [("tuple", None),
-                                              ("batch", "columnar")])
+@pytest.mark.parametrize("storage", ["rows", "columnar"])
 @pytest.mark.parametrize("query", [PAGERANK, WCC, SSSP],
                          ids=["pagerank", "wcc", "sssp"])
-def test_fixpoint_byte_identical_to_serial(query, executor, storage,
-                                           nworkers):
-    serial = _engine(0, executor, storage).execute_detailed(query)
-    engine = _engine(nworkers, executor, storage)
+def test_fixpoint_byte_identical_to_serial(query, storage, nworkers):
+    serial = _engine(0, storage).execute_detailed(query)
+    engine = _engine(nworkers, storage)
     parallel = engine.execute_detailed(query)
     assert pickle.dumps(parallel.relation.rows) == \
         pickle.dumps(serial.relation.rows)

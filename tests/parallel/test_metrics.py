@@ -50,15 +50,15 @@ def test_serial_engine_exposes_no_parallel_gauges():
 
 def test_default_matrix_includes_parallel_cells():
     matrix = default_matrix()
-    assert len(matrix) == 96
+    assert len(matrix) == 48
     parallel_cells = [c for c in matrix if c.parallel]
-    assert len(parallel_cells) == 32
+    assert len(parallel_cells) == 16
     # worker telemetry shards let instrumented runs fan out too, so
     # parallel cells cover both telemetry modes
     assert {c.telemetry for c in parallel_cells} == {"off", "on"}
     assert all(c.parallel == 2 for c in parallel_cells)
     labels = {c.label() for c in matrix}
-    assert len(labels) == 96  # parallel must show up in the label
+    assert len(labels) == 48  # parallel must show up in the label
 
 
 def test_relevant_matrix_keeps_parallel_axis_for_plain_queries():
@@ -76,8 +76,7 @@ def test_relevant_matrix_keeps_parallel_axis_for_plain_queries():
 
 @pytest.mark.usefixtures("strict")
 def test_engineconfig_parallel_cell_builds_and_runs():
-    config = EngineConfig(executor="batch", storage="columnar",
-                          parallel=2)
+    config = EngineConfig(storage="columnar", parallel=2)
     assert "parallel=2" in config.label()
     engine = config.build_engine()
     assert engine.parallel == 2

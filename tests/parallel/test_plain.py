@@ -14,12 +14,11 @@ def strict(monkeypatch):
     monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "10")
 
 
-def _engine(parallel, executor="tuple", storage=None):
+def _engine(parallel, storage=None):
     rng = random.Random(13)
     edge_rows = sorted({(rng.randrange(80), rng.randrange(80))
                         for _ in range(400)})
-    engine = Engine("oracle", executor=executor, storage=storage,
-                    parallel=parallel)
+    engine = Engine("oracle", storage=storage, parallel=parallel)
     engine.database.load_edge_table(
         "E", [(u, v, (u + v) * 0.125) for u, v in edge_rows])
     return engine
@@ -35,12 +34,11 @@ QUERIES = [
 
 
 @pytest.mark.usefixtures("strict")
-@pytest.mark.parametrize("executor,storage", [("tuple", None),
-                                              ("batch", "columnar")])
+@pytest.mark.parametrize("storage", ["rows", "columnar"])
 @pytest.mark.parametrize("query", QUERIES)
-def test_plain_queries_identical(query, executor, storage):
-    expected = _engine(0, executor, storage).execute(query)
-    engine = _engine(2, executor, storage)
+def test_plain_queries_identical(query, storage):
+    expected = _engine(0, storage).execute(query)
+    engine = _engine(2, storage)
     got = engine.execute(query)
     assert pickle.dumps(got.rows) == pickle.dumps(expected.rows)
     assert got.schema.names == expected.schema.names

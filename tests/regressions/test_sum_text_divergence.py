@@ -1,19 +1,19 @@
-"""Reproducer: ``sum()``/``avg()`` over a TEXT column diverged by executor.
+"""Reproducer: ``sum()``/``avg()`` over a TEXT column diverged by
+aggregation path.
 
 Found by ``repro fuzz`` (aggregate queries over NULL-heavy generated
-schemas).  Before the fix:
+schemas), when the engine still had two hash aggregates.  Before the fix:
 
-* the tuple executor's :func:`~repro.relational.relation._finish_aggregate`
+* the folding path of :func:`~repro.relational.relation._finish_aggregate`
   raised a raw ``TypeError`` from ``sum()`` — a crash, not an engine
   error;
-* the batch executor's ``BatchHashAggregate`` folded with ``+`` as it
-  streamed, which silently *string-concatenated* TEXT values (and the
-  cost-based policy promotes the batch aggregate even under
-  ``executor="tuple"``, so ``optimizer="cost"`` changed answers too).
+* the streaming hash aggregate folded with ``+`` as it went, which
+  silently *string-concatenated* TEXT values.
 
-One path crashed, the other returned data: a three-way divergence.  Both
-paths now raise the same :class:`~repro.relational.errors.ExecutionError`
-via :func:`~repro.relational.relation.require_numeric`.
+One path crashed, the other returned data: a three-way divergence.  Every
+aggregation path (hash and sort aggregation, row and columnar storage)
+now raises the same :class:`~repro.relational.errors.ExecutionError` via
+:func:`~repro.relational.relation.require_numeric`.
 """
 
 from repro.check.replay import assert_matrix_agreement

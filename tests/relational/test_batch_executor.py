@@ -1,7 +1,6 @@
-"""Batch executor: kernel/tuple agreement, NULL-key joins, plan caching,
+"""Batch operators: agreement with the relational algebra on both the
+row path and the columnar block path, NULL-key joins, plan caching,
 incremental maintenance counters, and EXPLAIN ANALYZE."""
-
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,21 +10,17 @@ from repro.core.operators import mv_join, mv_join_basic
 from repro.core.semiring import MAX_TIMES, MIN_PLUS, MIN_TIMES, PLUS_TIMES
 from repro.datasets import preferential_attachment
 from repro.relational import Engine
-from repro.relational.expressions import col
+from repro.relational.expressions import BinaryOp, Literal, col
 from repro.relational.physical import (
-    BatchHashAggregate,
-    BatchHashAntiJoin,
-    BatchHashFullOuterJoin,
-    BatchHashJoin,
-    BatchHashLeftOuterJoin,
-    BatchHashSemiJoin,
+    Filter,
     HashAggregate,
     HashAntiJoin,
     HashFullOuterJoin,
     HashJoin,
     HashLeftOuterJoin,
     HashSemiJoin,
-    RelationScan,
+    Project,
+    TableScan,
 )
 from repro.relational.relation import AggregateSpec, Relation
 from repro.relational.schema import Schema
@@ -33,6 +28,10 @@ from repro.relational.table import Table
 from repro.relational.types import SqlType
 
 DIALECTS = ("oracle", "db2", "postgres")
+
+#: Row storage feeds the operators' row path; columnar storage their
+#: block path (cached store indexes, column-vector kernels).
+STORAGES = ("rows", "columnar")
 
 #: (semiring, SQL rendering of ⊕(⊙)) — the four MV-join instantiations the
 #: paper's algorithms use (Table "standard instances" in core.semiring).
@@ -44,95 +43,211 @@ SEMIRING_SQL = [
 ]
 
 
-def scan(cols, rows, alias=None):
-    return RelationScan(Relation.from_pairs(cols, rows), alias)
+def relation(cols, rows, alias):
+    return Relation.from_pairs(cols, rows).rename(alias)
 
 
-def rows_set(relation):
-    return set(relation.rows)
+def scan(rel, alias, storage):
+    """A table scan over *rel* stored in the given backend."""
+    table = Table(alias, rel.schema, storage=storage)
+    table.insert_many(rel.rows)
+    return TableScan(table, alias)
 
 
-# -- kernel/tuple agreement on fixed inputs (incl. NULL join keys) ----------
+def sorted_rows(rows):
+    return sorted(rows, key=repr)
+
+
+def sql_keys_only(rel, key):
+    """*rel* without its NULL-keyed rows.  SQL's NULL equals nothing, while
+    the algebra's semi/anti-join set membership treats NULL as a value, so
+    the reference drops NULL build keys before comparing."""
+    qualifier, name = key.split(".")
+    index = rel.schema.index_of(name, qualifier)
+    return Relation(rel.schema, [r for r in rel.rows if r[index] is not None])
+
+
+# -- merged operators vs relational algebra (incl. NULL join keys) -----------
 
 
 LEFT = [(1, "a"), (2, "a"), (3, "b"), (4, None), (5, "z"), (6, None)]
 RIGHT = [("a", 10), ("b", 20), ("c", 30), (None, 99)]
 
-PAIRS = [
-    (HashJoin, BatchHashJoin),
-    (HashLeftOuterJoin, BatchHashLeftOuterJoin),
-    (HashFullOuterJoin, BatchHashFullOuterJoin),
-    (HashSemiJoin, BatchHashSemiJoin),
-    (HashAntiJoin, BatchHashAntiJoin),
-]
+#: operator -> its relational-algebra reference over (left, right).
+REFERENCES = {
+    HashJoin: lambda l, r: l.equi_join(r, ["L.k"], ["R.k"]),
+    HashLeftOuterJoin: lambda l, r: l.left_outer_join(r, ["L.k"], ["R.k"]),
+    HashFullOuterJoin: lambda l, r: l.full_outer_join(r, ["L.k"], ["R.k"]),
+    HashSemiJoin: lambda l, r: l.semi_join(sql_keys_only(r, "R.k"),
+                                           ["L.k"], ["R.k"]),
+    HashAntiJoin: lambda l, r: l.anti_join(sql_keys_only(r, "R.k"),
+                                           ["L.k"], ["R.k"]),
+}
 
 
 class TestKernelAgreement:
-    @pytest.mark.parametrize("tuple_cls,batch_cls", PAIRS)
-    def test_null_keys_both_sides(self, tuple_cls, batch_cls):
-        """NULL join keys match nothing — on either side, in either kernel.
+    @pytest.mark.parametrize("operator", list(REFERENCES),
+                             ids=lambda cls: cls.__name__)
+    def test_null_keys_both_sides(self, operator):
+        """NULL join keys match nothing — on either side, on either path.
 
         Regression: HashSemiJoin/HashAntiJoin used to admit NULL probe keys
         when a NULL appeared on the build side.
         """
-        args = ([col("L.k")], [col("R.k")])
-        tuple_out = tuple_cls(scan(("id", "k"), LEFT, "L"),
-                              scan(("k", "v"), RIGHT, "R"), *args).execute()
-        batch_out = batch_cls(scan(("id", "k"), LEFT, "L"),
-                              scan(("k", "v"), RIGHT, "R"), *args).execute()
-        assert sorted(tuple_out.rows, key=repr) == \
-            sorted(batch_out.rows, key=repr)
-        # NULL never equals NULL: the NULL-key right row (value 99) may
-        # survive only as an outer-padded row, never paired with a left row.
-        assert all(not (99 in row and row[0] is not None)
-                   for row in tuple_out.rows)
+        left = relation(("id", "k"), LEFT, "L")
+        right = relation(("k", "v"), RIGHT, "R")
+        expected = REFERENCES[operator](left, right)
+        for storage in STORAGES:
+            out = operator(scan(left, "L", storage),
+                           scan(right, "R", storage),
+                           [col("L.k")], [col("R.k")]).execute()
+            assert sorted_rows(out.rows) == sorted_rows(expected.rows), \
+                storage
+            # NULL never equals NULL: the NULL-key right row (value 99)
+            # may survive only as an outer-padded row, never paired with
+            # a left row.
+            assert all(not (99 in row and row[0] is not None)
+                       for row in out.rows)
 
     def test_semi_anti_partition_left(self):
         """Semi-join and anti-join output partition the left input."""
-        left = scan(("id", "k"), LEFT, "L")
+        left = relation(("id", "k"), LEFT, "L")
+        right = relation(("k", "v"), RIGHT, "R")
         args = ([col("L.k")], [col("R.k")])
-        semi = BatchHashSemiJoin(left, scan(("k", "v"), RIGHT, "R"),
-                                 *args).execute()
-        anti = BatchHashAntiJoin(scan(("id", "k"), LEFT, "L"),
-                                 scan(("k", "v"), RIGHT, "R"), *args).execute()
-        assert sorted(semi.rows + anti.rows) == sorted(LEFT)
-        # The three NULL/unmatched left rows land on the anti side.
-        assert rows_set(anti) == {(4, None), (5, "z"), (6, None)}
+        for storage in STORAGES:
+            semi = HashSemiJoin(scan(left, "L", storage),
+                                scan(right, "R", storage), *args).execute()
+            anti = HashAntiJoin(scan(left, "L", storage),
+                                scan(right, "R", storage), *args).execute()
+            assert sorted(semi.rows + anti.rows) == sorted(LEFT)
+            assert sorted(semi.rows) == sorted(
+                REFERENCES[HashSemiJoin](left, right).rows)
+            # The three NULL/unmatched left rows land on the anti side.
+            assert set(anti.rows) == {(4, None), (5, "z"), (6, None)}
 
     def test_empty_build_side(self):
+        left = relation(("id", "k"), LEFT, "L")
+        empty = relation(("k", "v"), [], "R")
         args = ([col("L.k")], [col("R.k")])
-        empty = scan(("k", "v"), [], "R")
-        assert BatchHashJoin(scan(("id", "k"), LEFT, "L"), empty,
-                             *args).execute().rows == ()
-        assert sorted(BatchHashAntiJoin(scan(("id", "k"), LEFT, "L"),
-                                        scan(("k", "v"), [], "R"),
-                                        *args).execute().rows) == sorted(LEFT)
+        for storage in STORAGES:
+            joined = HashJoin(scan(left, "L", storage),
+                              scan(empty, "R", storage), *args).execute()
+            assert joined.rows == \
+                left.equi_join(empty, ["L.k"], ["R.k"]).rows == ()
+            kept = HashAntiJoin(scan(left, "L", storage),
+                                scan(empty, "R", storage), *args).execute()
+            assert sorted(kept.rows) == sorted(
+                left.anti_join(empty, ["L.k"], ["R.k"]).rows) == sorted(LEFT)
+
+    #: NULL keys and values take the row path everywhere; clean integer
+    #: keys with numeric values take the columnar block kernels.
+    AGGREGATE_INPUTS = {
+        "nulls": [(1, "a", 2.0), (2, "a", None), (3, "b", 5.0),
+                  (4, None, 1.0)],
+        "clean": [(1, 10, 2.0), (2, 10, 3.5), (3, 20, 5.0), (4, 30, 1.0),
+                  (5, 20, -4.0)],
+    }
 
     @pytest.mark.parametrize("function", ["count", "sum", "min", "max", "avg"])
     def test_aggregate_agreement(self, function):
-        rows = [(1, "a", 2.0), (2, "a", None), (3, "b", 5.0), (4, None, 1.0)]
         spec = [AggregateSpec(function, col("T.w"), "out")]
-        tuple_out = HashAggregate(scan(("id", "g", "w"), rows, "T"),
-                                  [col("T.g")], spec).execute()
-        batch_out = BatchHashAggregate(scan(("id", "g", "w"), rows, "T"),
-                                       [col("T.g")], spec).execute()
-        assert sorted(tuple_out.rows, key=repr) == \
-            sorted(batch_out.rows, key=repr)
+        for data, rows in self.AGGREGATE_INPUTS.items():
+            rel = relation(("id", "g", "w"), rows, "T")
+            expected = rel.group_by(["T.g"], spec)
+            for storage in STORAGES:
+                out = HashAggregate(scan(rel, "T", storage), [col("T.g")],
+                                    spec).execute()
+                assert sorted_rows(out.rows) == \
+                    sorted_rows(expected.rows), (data, storage)
 
     @pytest.mark.parametrize("function,expect", [
         ("count", 0), ("sum", None), ("min", None), ("max", None),
         ("avg", None),
     ])
     def test_aggregate_empty_input_no_keys(self, function, expect):
+        rel = relation(("id", "g", "w"), [], "T")
         spec = [AggregateSpec(function, col("T.w"), "out")]
-        tuple_out = HashAggregate(scan(("id", "g", "w"), [], "T"), [],
-                                  spec).execute()
-        batch_out = BatchHashAggregate(scan(("id", "g", "w"), [], "T"), [],
-                                       spec).execute()
-        assert tuple_out.rows == batch_out.rows == ((expect,),)
+        for storage in STORAGES:
+            out = HashAggregate(scan(rel, "T", storage), [], spec).execute()
+            assert out.rows == rel.group_by([], spec).rows == ((expect,),)
 
 
-# -- randomized semiring MV-join: batch == tuple == *_basic ------------------
+# -- block-path errors: replay only what the row path reproduces --------------
+
+
+CLEAN = [(1, 10, 2.0), (2, 10, 3.5), (3, 20, 5.0), (4, 30, 1.0)]
+
+
+def _failing_vector(error):
+    def compile_vector(expr):
+        def vector(batch):
+            raise error
+        return vector
+    return compile_vector
+
+
+def _block_operators(storage):
+    """One Filter, Project and HashAggregate over a table of CLEAN rows,
+    each with the module attribute its block path goes through."""
+    rel = relation(("id", "g", "w"), CLEAN, "T")
+    return {
+        "filter": (lambda: Filter(scan(rel, "T", storage),
+                                  BinaryOp(">", col("T.g"), Literal(10))),
+                   "repro.relational.physical.filter.compile_vector"),
+        "project": (lambda: Project(scan(rel, "T", storage),
+                                    [(BinaryOp("+", col("T.g"), Literal(1)),
+                                      "g1")]),
+                    "repro.relational.physical.project.compile_vector"),
+        "aggregate": (lambda: HashAggregate(
+                          scan(rel, "T", storage), [col("T.g")],
+                          [AggregateSpec("sum", col("T.w"), "s")]),
+                      "repro.relational.physical.aggregate.grouped_sum"),
+    }
+
+
+def _raising(target, error):
+    if target.endswith("compile_vector"):
+        return _failing_vector(error)
+
+    def kernel(*args):
+        raise error
+    return kernel
+
+
+class TestBlockFallback:
+    @pytest.mark.parametrize("kind", ["filter", "project", "aggregate"])
+    def test_unexpected_kernel_error_propagates(self, kind, monkeypatch):
+        """A fast path never hides an error by replaying the row path."""
+        make, target = _block_operators("columnar")[kind]
+        monkeypatch.setattr(target, _raising(target, RuntimeError("kernel")))
+        with pytest.raises(RuntimeError, match="kernel"):
+            make().execute()
+
+    @pytest.mark.parametrize("error", [TypeError, ZeroDivisionError])
+    @pytest.mark.parametrize("kind", ["filter", "project", "aggregate"])
+    def test_evaluation_error_replays_the_row_path(self, kind, error,
+                                                   monkeypatch):
+        expected = _block_operators("rows")[kind][0]().execute().rows
+        make, target = _block_operators("columnar")[kind]
+        monkeypatch.setattr(target, _raising(target, error("kernel")))
+        assert make().execute().rows == expected
+
+    def test_first_error_in_row_order_on_both_storages(self):
+        """Column-at-a-time evaluation meets the zero divisor in row 1
+        before the TEXT operand in row 0; the block path replays the row
+        path, so both backends raise the row path's first error."""
+        outcomes = set()
+        for storage in STORAGES:
+            engine = Engine("oracle", storage=storage)
+            engine.database.register("T", Relation.from_pairs(
+                ("a", "b", "c"), [(1, 1, "x"), (1, 0, "y")]))
+            with pytest.raises(Exception) as caught:
+                engine.execute("select a / b as q, c + 1 as r from T")
+            outcomes.add(type(caught.value).__name__)
+        assert outcomes == {"TypeError"}
+
+
+# -- randomized semiring MV-join: SQL == RA operator == *_basic --------------
 
 
 matrices = st.dictionaries(
@@ -148,8 +263,8 @@ vectors = st.dictionaries(st.integers(0, 5),
 @given(entries=matrices, vec=vectors)
 @settings(max_examples=12, deadline=None)
 def test_mv_join_semiring_agreement(semiring, fold_sql, entries, vec):
-    """SQL MV-join through both executors agrees with the RA operator and
-    its basic-operations twin, under all four semirings."""
+    """SQL MV-join on both storage backends agrees with the RA operator
+    and its basic-operations twin, under all four semirings."""
     a = Relation.from_pairs(("F", "T", "ew"),
                             [(f, t, w) for (f, t), w in entries.items()])
     c = Relation.from_pairs(("ID", "vw"), sorted(vec.items()))
@@ -158,15 +273,15 @@ def test_mv_join_semiring_agreement(semiring, fold_sql, entries, vec):
 
     sql = (f"SELECT A.F AS ID, {fold_sql} AS vw FROM A, C"
            f" WHERE A.T = C.ID GROUP BY A.F")
-    for executor in ("tuple", "batch"):
-        engine = Engine(dialect="postgres", executor=executor)
+    for storage in STORAGES:
+        engine = Engine(dialect="postgres", storage=storage)
         engine.database.load_edge_table("A", list(a.rows))
         engine.database.load_node_table("C", list(c.rows))
         got = {row[0]: row[1] for row in engine.execute(sql).rows}
-        assert got == pytest.approx(expected), executor
+        assert got == pytest.approx(expected), storage
 
 
-# -- end-to-end: executor="batch" through Engine.execute ---------------------
+# -- end-to-end through Engine.execute ----------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -177,52 +292,41 @@ def graph():
 class TestEndToEndAgreement:
     @pytest.mark.parametrize("dialect", DIALECTS)
     def test_pagerank(self, dialect, graph):
-        base = pagerank.run_sql(Engine(dialect), graph).values
-        batch = pagerank.run_sql(Engine(dialect, executor="batch"),
-                                 graph).values
-        assert batch == pytest.approx(base)
+        reference = pagerank.run_reference(graph).values
+        for storage in STORAGES:
+            values = pagerank.run_sql(Engine(dialect, storage=storage),
+                                      graph).values
+            assert values == pytest.approx(reference), storage
 
     @pytest.mark.parametrize("dialect", DIALECTS)
     def test_wcc(self, dialect, graph):
-        base = wcc.run_sql(Engine(dialect), graph).values
-        batch = wcc.run_sql(Engine(dialect, executor="batch"), graph).values
-        assert batch == base
+        reference = wcc.run_reference(graph).values
+        for storage in STORAGES:
+            assert wcc.run_sql(Engine(dialect, storage=storage),
+                               graph).values == reference, storage
 
     def test_sssp(self, graph):
-        base = bellman_ford.run_sql(Engine("postgres"), graph, 0).values
-        batch = bellman_ford.run_sql(Engine("postgres", executor="batch"),
-                                     graph, 0).values
-        assert batch == pytest.approx(base)
-
-    @pytest.mark.parametrize("dialect", DIALECTS)
-    def test_explain_identical_across_executors(self, dialect, graph):
-        sql = ("SELECT E.F, count(*) AS c FROM E, V"
-               " WHERE E.F = V.ID GROUP BY E.F")
-        tuple_engine = Engine(dialect)
-        batch_engine = Engine(dialect, executor="batch")
-        tuple_engine.load_graph(graph)
-        batch_engine.load_graph(graph)
-        assert tuple_engine.explain(sql) == batch_engine.explain(sql)
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            Engine("postgres", executor="columnar")
+        reference = bellman_ford.run_reference(graph, 0).values
+        for storage in STORAGES:
+            values = bellman_ford.run_sql(Engine("postgres", storage=storage),
+                                          graph, 0).values
+            assert values == pytest.approx(reference), storage
 
 
 # -- plan caching in the recursive loop --------------------------------------
 
 
 class TestPlanCache:
-    @pytest.mark.parametrize("executor", ["tuple", "batch"])
-    def test_branch_plans_compiled_once(self, executor, graph):
-        engine = Engine("postgres", executor=executor)
-        wcc.load_graph(engine, graph)
-        wcc.prepare_symmetric_edges(engine)
-        detail = engine.execute_detailed(wcc.sql())
-        assert detail.iterations > 1
-        assert detail.plans_compiled == 1
-        # Every later iteration reuses the single cached branch plan.
-        assert detail.plan_cache_hits == detail.iterations - 1
+    def test_branch_plans_compiled_once(self, graph):
+        for storage in STORAGES:
+            engine = Engine("postgres", storage=storage)
+            wcc.load_graph(engine, graph)
+            wcc.prepare_symmetric_edges(engine)
+            detail = engine.execute_detailed(wcc.sql())
+            assert detail.iterations > 1
+            assert detail.plans_compiled == 1
+            # Every later iteration reuses the single cached branch plan.
+            assert detail.plan_cache_hits == detail.iterations - 1
 
     def test_cached_run_matches_fresh_runs(self, graph):
         """Plan reuse must not leak state between iterations."""
@@ -301,7 +405,7 @@ class TestIncrementalMaintenance:
     @pytest.mark.parametrize("strategy", ["merge", "update_from",
                                           "full_outer_join", "drop_alter"])
     def test_recursive_loop_runs_under_every_strategy(self, strategy, graph):
-        engine = Engine("postgres", executor="batch")
+        engine = Engine("postgres")
         if not engine.dialect.supports_union_by_update(strategy):
             pytest.skip(f"postgres does not model {strategy}")
         engine.union_by_update_strategy = strategy
@@ -314,7 +418,7 @@ class TestIncrementalMaintenance:
 
 class TestExplainAnalyze:
     def test_non_recursive_report(self, graph):
-        engine = Engine("postgres", executor="batch")
+        engine = Engine("postgres")
         engine.load_graph(graph)
         report = engine.explain_analyze(
             "SELECT E.F, count(*) AS c FROM E, V"
@@ -322,9 +426,9 @@ class TestExplainAnalyze:
         assert "Hash Join" in report
         assert "actual rows=" in report and "loops=1" in report
 
-    @pytest.mark.parametrize("executor", ["tuple", "batch"])
-    def test_recursive_report_accumulates_iterations(self, executor, graph):
-        engine = Engine("postgres", executor=executor)
+    @pytest.mark.parametrize("storage", STORAGES)
+    def test_recursive_report_accumulates_iterations(self, storage, graph):
+        engine = Engine("postgres", storage=storage)
         wcc.load_graph(engine, graph)
         wcc.prepare_symmetric_edges(engine)
         detail = engine.execute_detailed(wcc.sql())
@@ -336,28 +440,9 @@ class TestExplainAnalyze:
         assert "recursive branch:" in report and "final body:" in report
 
     def test_analyze_does_not_change_results(self, graph):
-        engine = Engine("postgres", executor="batch")
+        engine = Engine("postgres")
         wcc.load_graph(engine, graph)
         wcc.prepare_symmetric_edges(engine)
         expected = engine.execute(wcc.sql())
         engine.explain_analyze(wcc.sql())
-        assert rows_set(engine.execute(wcc.sql())) == rows_set(expected)
-
-
-# -- benchmark smoke ---------------------------------------------------------
-
-
-class TestBenchSmoke:
-    def test_executor_bench_runs_at_tiny_scale(self, tmp_path):
-        from repro.bench.executor_bench import run_executor_bench, write_report
-
-        report = run_executor_bench(scale=0.05, repeats=1)
-        assert {r["query"] for r in report["results"]} == {"PR", "WCC", "SSSP"}
-        for result in report["results"]:
-            assert result["identical"], result
-            assert result["tuple_ms"] > 0 and result["batch_ms"] > 0
-        path = write_report(report, tmp_path / "bench.json")
-        assert path.exists()
-        import json
-
-        assert json.loads(path.read_text())["bench"] == "executor"
+        assert set(engine.execute(wcc.sql()).rows) == set(expected.rows)

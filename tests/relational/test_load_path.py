@@ -87,7 +87,6 @@ class TestEngineDefaults:
     def test_batch_over_columnar_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_STORAGE", raising=False)
         engine = Engine()
-        assert engine.executor == "batch"
         assert engine.storage == "columnar"
         assert engine.database.storage == "columnar"
 
@@ -95,6 +94,5 @@ class TestEngineDefaults:
         monkeypatch.setenv("REPRO_STORAGE", "rows")
         engine = Engine()
         assert engine.storage == "rows"
-        assert engine.executor == "batch"
         table = engine.database.load_node_table("V", [(1, 0.5)])
         assert table.rows.storage == "rows"

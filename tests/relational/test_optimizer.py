@@ -9,8 +9,7 @@ from repro.core.algorithms.registry import ALGORITHMS
 from repro.datasets import preferential_attachment, random_dag
 from repro.relational import Engine
 from repro.relational.optimizer import CardinalityEstimator, choose_join_order
-from repro.relational.physical import explain_plan
-from repro.relational.physical.batch import BatchHashJoin
+from repro.relational.physical import HashJoin, explain_plan
 from repro.relational.planner import CostBasedPolicy
 from repro.relational.sql.compiler import QueryRunner
 from repro.relational.sql.parser import parse_statement
@@ -153,26 +152,16 @@ class TestPushdownAndReordering:
 
 
 class TestOperatorSelection:
-    def test_build_side_on_smaller_input(self, loaded):
-        # V (40 rows) much smaller than E (200): build from V's side.
-        # The tuple executor caches every stable build side.
-        plan = loaded(executor="tuple").explain(JOIN_SQL)
-        join_line = next(l for l in plan.splitlines() if "Hash Join" in l)
-        assert "cached build" in join_line
-
     def test_build_side_on_smaller_input_batch(self, loaded):
-        # The batch executor builds from V too, on a plain Hash Join:
-        # outside a fixpoint loop there is no rescan to amortise a cache.
-        engine = loaded(executor="batch")
-        join_line = next(l for l in engine.explain(JOIN_SQL).splitlines()
-                         if "Hash Join" in l)
-        assert "cached build" not in join_line
+        # V (40 rows) much smaller than E (200): build from V's side, on
+        # the plain (batch) Hash Join.
+        engine = loaded()
         node = QueryRunner(engine.database, engine.policy).plan(
             parse_statement(JOIN_SQL))
         while node.label != "Hash Join":
             (node,) = [c for c in node.children()
                        if c.label != "Seq Scan"]
-        assert type(node) is BatchHashJoin
+        assert type(node) is HashJoin
         assert node.build_side == "right"
         assert "V" in explain_plan(node.right)
 
@@ -198,9 +187,8 @@ class TestOperatorSelection:
         plan = engine.explain("select R.F from R, S where R.T = S.F")
         assert "Merge Join" not in plan
 
-    @pytest.mark.parametrize("executor", ["tuple", "batch"])
-    def test_plans_agree_across_executors(self, executor):
-        engine = Engine("oracle", optimizer="cost", executor=executor)
+    def test_cost_plan_agrees_with_modelled_plan(self):
+        engine = Engine("oracle", optimizer="cost")
         engine.database.load_edge_table(
             "E", [(i, (i * 7 + 1) % 40, 1.0) for i in range(200)])
         engine.database.load_node_table(

@@ -1,5 +1,5 @@
 """Byte-identity of maintained views vs cold re-derivation, across the
-executor/storage/parallel matrix (the PR's acceptance contract)."""
+storage/parallel matrix."""
 
 import pytest
 
@@ -26,11 +26,10 @@ BATCHES = (
 )
 
 CONFIGS = (
-    {"executor": "tuple", "storage": "rows", "parallel": 0},
-    {"executor": "batch", "storage": "rows", "parallel": 0},
-    {"executor": "tuple", "storage": "columnar", "parallel": 0},
-    {"executor": "tuple", "storage": "rows", "parallel": 2},
-    {"executor": "batch", "storage": "columnar", "parallel": 2},
+    {"storage": "rows", "parallel": 0},
+    {"storage": "columnar", "parallel": 0},
+    {"storage": "rows", "parallel": 2},
+    {"storage": "columnar", "parallel": 2},
 )
 
 
@@ -42,7 +41,7 @@ def scenario_for(config) -> StreamingScenario:
 
 @pytest.mark.parametrize(
     "config", CONFIGS,
-    ids=lambda c: f"{c['executor']}-{c['storage']}-par{c['parallel']}")
+    ids=lambda c: f"{c['storage']}-par{c['parallel']}")
 def test_views_byte_identical_to_cold_runs(config, monkeypatch):
     if config["parallel"]:
         monkeypatch.setenv("REPRO_PARALLEL_STRICT", "1")
